@@ -2,23 +2,25 @@
    on every evaluation into an OCaml closure network built once per
    (statement, plan token) and reused for the statement's lifetime.
 
-   The compiled form mirrors the interpreter exactly — same join order,
-   same access-path selection (hash / interval-index / full scan), same
-   three-valued logic, same trace counters and guard charges, and the
-   same evaluation order for side-effecting sub-expressions — so its
-   results are bit-identical by construction.  What it removes is the
-   per-evaluation overhead: conjunct classification, alias/column name
-   resolution (pre-resolved to array offsets), per-call hash-index
-   builds, and transaction-time re-filtering of unchanged tables.
+   Join order and access paths (hash / interval-index / full scan) come
+   from the shared planner, Sqleval.Plan, the same analysis the
+   interpreter runs; this module lowers that plan into closures with the
+   interpreter's three-valued logic, trace counters, guard charges and
+   evaluation order for side-effecting sub-expressions, so its results
+   are bit-identical.  What it removes is the per-evaluation overhead:
+   planning, alias/column name resolution (pre-resolved to array
+   offsets), per-call hash-index builds, and transaction-time
+   re-filtering of unchanged tables.
 
    Coverage is partial by design: any SELECT whose FROM contains
    something other than base-table references (views, derived tables,
    table functions) falls back to the interpreter, as does one with a
-   nested join right of a LEFT JOIN.  Expressions always compile — a
-   construct without a specialised closure (aggregates, subquery
-   predicates, stored-function calls) gets a generic closure that
-   re-enters the interpreter for that node only, keeping recursion
-   depth guards, fault injection and routine memoisation intact. *)
+   nested join right of a LEFT JOIN; the (select, token) pair is then
+   cached as unsupported.  Expressions always compile — a construct
+   without a specialised closure (aggregates, subquery predicates,
+   stored-function calls) gets a generic closure that re-enters the
+   interpreter for that node only, keeping recursion depth guards, fault
+   injection and routine memoisation intact. *)
 
 open Sqlast.Ast
 module Value = Sqldb.Value
@@ -30,11 +32,7 @@ module Eval = Sqleval.Eval
 module Catalog = Sqleval.Catalog
 module Builtins = Sqleval.Builtins
 module Result_set = Sqleval.Result_set
-
-(* Raised during compilation when the SELECT uses a shape the compiler
-   does not cover; the (select, token) pair is then negatively cached so
-   the analysis is not repeated on every evaluation. *)
-exception Unsupported
+module Plan = Sqleval.Plan
 
 let lc = String.lowercase_ascii
 
@@ -137,6 +135,7 @@ type entry = {
   e_version : int;
   mutable e_rows : Value.t array list option;  (* tt-filtered scan *)
   mutable e_hash : (Value.t, Value.t array list) Hashtbl.t option;
+  mutable e_scanned : bool;  (* a top-level run scanned this version *)
 }
 
 (* Per-statement state, hung off the environment's extension slot: a
@@ -197,53 +196,29 @@ let arith op a b =
   | _ -> Eval.v_arith op a b
 
 let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
-  (* Mirror of the interpreter's join flattening; the unsupported nested
-     LEFT JOIN shape falls back so the interpreter raises its error. *)
-  let rec flatten_from (tr : table_ref) =
-    match tr with
-    | Tjoin (l, Jinner, r, on) ->
-        let ul, cl = flatten_from l in
-        let ur, cr = flatten_from r in
-        (ul @ ur, cl @ cr @ [ on ])
-    | Tjoin (l, Jleft, r, on) ->
-        let ul, cl = flatten_from l in
-        (match r with Tjoin _ -> raise Unsupported | _ -> ());
-        (ul @ [ (r, Some on) ], cl)
-    | _ -> ([ (tr, None) ], [])
-  in
-  let flat_from, join_conjuncts =
-    List.fold_left
-      (fun (us, cs) tr ->
-        let u, c = flatten_from tr in
-        (us @ u, cs @ c))
-      ([], []) s.from
-  in
   (* Only base-table references compile: views, derived tables and table
      functions need the interpreter's materialisation machinery. *)
-  let resolved =
-    List.map
-      (fun (tr, on) ->
+  let plan =
+    Plan.plan cat.Catalog.options s (fun tr ->
         match tr with
         | Tref (name, alias) -> (
-            let alias = Option.value alias ~default:name in
             match Database.find_table cat.Catalog.db name with
-            | Some t -> (name, lc alias, Table.schema t, on)
-            | None -> raise Unsupported)
-        | _ -> raise Unsupported)
-      flat_from
+            | Some t ->
+                let schema = Table.schema t in
+                ( Option.value alias ~default:name,
+                  Array.of_list
+                    (List.map
+                       (fun c -> lc c.Schema.col_name)
+                       schema.Schema.columns),
+                  Plan.Table schema,
+                  (name, schema) )
+            | None -> raise (Plan.Unsupported "view"))
+        | _ -> raise (Plan.Unsupported "not a base table"))
   in
-  let n = List.length resolved in
-  let resolved_arr = Array.of_list resolved in
+  let levels = plan.Plan.levels in
+  let n = Array.length levels in
   let binds_static =
-    Array.map
-      (fun (_, alias, schema, _) ->
-        ( alias,
-          Array.of_list
-            (List.map (fun c -> lc c.Schema.col_name) schema.Schema.columns) ))
-      resolved_arr
-  in
-  let alias_level =
-    Array.to_list (Array.mapi (fun i (a, _) -> (a, i)) binds_static)
+    Array.map (fun (l : _ Plan.level) -> (l.Plan.alias, l.Plan.cols)) levels
   in
   let find_alias lq =
     let rec go i =
@@ -259,209 +234,6 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
       if j >= m then None else if cols.(j) = lname then Some j else go (j + 1)
     in
     go 0
-  in
-  let conjuncts =
-    let rec split = function
-      | Binop (And, a, b) -> split a @ split b
-      | e -> [ e ]
-    in
-    join_conjuncts @ (match s.where with None -> [] | Some w -> split w)
-  in
-  (* Mirror of the interpreter's alias analysis: an unqualified column
-     counts for the first source carrying it, and correlated subqueries
-     contribute their qualified references. *)
-  let rec expr_aliases acc (e : expr) =
-    match e with
-    | Col (Some q, _) -> (
-        match List.assoc_opt (lc q) alias_level with
-        | Some lvl -> lvl :: acc
-        | None -> acc)
-    | Col (None, c) -> (
-        let lcc = lc c in
-        let rec first i =
-          if i >= n then None
-          else if Array.exists (fun col -> col = lcc) (snd binds_static.(i))
-          then Some i
-          else first (i + 1)
-        in
-        match first 0 with
-        | Some i -> List.assoc (fst binds_static.(i)) alias_level :: acc
-        | None -> acc)
-    | _ ->
-        let acc =
-          fold_expr_queries
-            (fun acc q ->
-              List.fold_left
-                (fun acc sel ->
-                  let refs = Eval.collect_col_refs sel in
-                  List.fold_left
-                    (fun acc r ->
-                      match r with
-                      | Some q, _ -> (
-                          match List.assoc_opt (lc q) alias_level with
-                          | Some lvl -> lvl :: acc
-                          | None -> acc)
-                      | None, _ -> acc)
-                    acc refs)
-                acc (query_selects q))
-            acc e
-        in
-        shallow_fold_expr expr_aliases acc e
-  and shallow_fold_expr f acc e =
-    match e with
-    | Lit _ | Col _ -> acc
-    | Binop (_, a, b) -> f (f acc a) b
-    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> f acc a
-    | Fun_call (_, args) -> List.fold_left f acc args
-    | Agg (_, _, Some a) -> f acc a
-    | Agg (_, _, None) -> acc
-    | Case c ->
-        let acc =
-          match c.case_operand with Some e -> f acc e | None -> acc
-        in
-        let acc =
-          List.fold_left (fun acc (w, t) -> f (f acc w) t) acc c.case_branches
-        in
-        (match c.case_else with Some e -> f acc e | None -> acc)
-    | Exists _ | Scalar_subquery _ -> acc
-    | In_pred (e, In_list es, _) -> List.fold_left f (f acc e) es
-    | In_pred (e, In_query _, _) -> f acc e
-    | Between (a, b, c, _) -> f (f (f acc a) b) c
-    | Like (a, b, _) -> f (f acc a) b
-  in
-  let conjunct_level e =
-    match expr_aliases [] e with [] -> 0 | ls -> List.fold_left max 0 ls
-  in
-  let has_fun_call e =
-    fold_expr_funcalls
-      (fun acc name _ -> acc || not (Builtins.is_builtin name))
-      false e
-  in
-  let level_conjuncts = Array.make (max n 1) ([] : expr list) in
-  List.iter
-    (fun c ->
-      let lvl = conjunct_level c in
-      level_conjuncts.(lvl) <- c :: level_conjuncts.(lvl))
-    conjuncts;
-  Array.iteri
-    (fun i cs ->
-      let cheap, costly = List.partition (fun c -> not (has_fun_call c)) cs in
-      level_conjuncts.(i) <- cheap @ costly)
-    level_conjuncts;
-  let col_of_source i e =
-    let al, cols = binds_static.(i) in
-    match e with
-    | Col (Some q, c) when lc q = al ->
-        let lcc = lc c in
-        if Array.exists (fun col -> col = lcc) cols then Some lcc else None
-    | Col (None, c) ->
-        let lcc = lc c in
-        if
-          Array.exists (fun col -> col = lcc) cols
-          && not
-               (Array.exists
-                  (fun (al', cols') ->
-                    al' <> al && Array.exists (fun col -> col = lcc) cols')
-                  binds_static)
-        then Some lcc
-        else None
-    | _ -> None
-  in
-  let bound_before i e =
-    List.for_all (fun lvl -> lvl < i) (expr_aliases [] e)
-  in
-  let find_hash_key i =
-    let col_of_i = col_of_source i in
-    let bound_elsewhere = bound_before i in
-    let rec scan = function
-      | [] -> None
-      | c :: rest -> (
-          match c with
-          | Binop (Eq, a, bb) -> (
-              match (col_of_i a, bound_elsewhere bb) with
-              | Some col, true -> Some (col, bb, c)
-              | _ -> (
-                  match (col_of_i bb, bound_elsewhere a) with
-                  | Some col, true -> Some (col, a, c)
-                  | _ -> scan rest))
-          | _ -> scan rest)
-    in
-    scan level_conjuncts.(i)
-  in
-  let find_period_plan i =
-    let _, _, schema, left_on = resolved_arr.(i) in
-    if not schema.Schema.temporal then None
-    else begin
-      let which e =
-        match col_of_source i e with
-        | Some lcc when lcc = Schema.begin_time_col -> Some `Begin
-        | Some lcc when lcc = Schema.end_time_col -> Some `End
-        | _ -> None
-      in
-      let usable e = bound_before i e && not (has_fun_call e) in
-      let ubs = ref [] and lbs = ref [] in
-      let consider c =
-        match c with
-        | Binop (op, x, y) -> (
-            match (which x, which y) with
-            | Some side, None when usable y -> (
-                match (side, op) with
-                | `Begin, Le -> ubs := (y, true, c, true) :: !ubs
-                | `Begin, Eq -> ubs := (y, true, c, false) :: !ubs
-                | `Begin, Lt -> ubs := (y, false, c, true) :: !ubs
-                | `End, Ge -> lbs := (y, true, c, true) :: !lbs
-                | `End, Eq -> lbs := (y, true, c, false) :: !lbs
-                | `End, Gt -> lbs := (y, false, c, true) :: !lbs
-                | _ -> ())
-            | None, Some side when usable x -> (
-                match (side, op) with
-                | `Begin, Ge -> ubs := (x, true, c, true) :: !ubs
-                | `Begin, Eq -> ubs := (x, true, c, false) :: !ubs
-                | `Begin, Gt -> ubs := (x, false, c, true) :: !ubs
-                | `End, Le -> lbs := (x, true, c, true) :: !lbs
-                | `End, Eq -> lbs := (x, true, c, false) :: !lbs
-                | `End, Lt -> lbs := (x, false, c, true) :: !lbs
-                | _ -> ())
-            | _ -> ())
-        | _ -> ()
-      in
-      let conjuncts =
-        match left_on with
-        | None -> level_conjuncts.(i)
-        | Some on ->
-            let rec split = function
-              | Binop (And, a, b) -> split a @ split b
-              | e -> [ e ]
-            in
-            split on
-      in
-      List.iter consider conjuncts;
-      if !ubs = [] && !lbs = [] then None
-      else
-        Some (Schema.begin_index schema, Schema.end_index schema, !ubs, !lbs)
-    end
-  in
-  let hash_plans =
-    Array.init (max n 1) (fun i -> if i < n then find_hash_key i else None)
-  in
-  let period_plans =
-    Array.init (max n 1) (fun i ->
-        if i < n && cat.Catalog.options.Catalog.temporal_index then
-          find_period_plan i
-        else None)
-  in
-  let join_event =
-    let path i =
-      let _, _, _, left_on = resolved_arr.(i) in
-      match hash_plans.(i) with
-      | Some (col, _, _)
-        when left_on = None && cat.Catalog.options.Catalog.hash_joins ->
-          "hash(" ^ col ^ ")"
-      | _ -> if Option.is_some period_plans.(i) then "index" else "full"
-    in
-    "order="
-    ^ String.concat ","
-        (List.init n (fun i -> fst binds_static.(i) ^ ":" ^ path i))
   in
   (* --- expression compilation ------------------------------------- *)
   (* The generic fallback re-enters the interpreter for one node; since
@@ -520,6 +292,8 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
           | Value.Int i -> Value.Int (-i)
           | Value.Float f -> Value.Float (-.f)
           | v -> Eval.sql_error "cannot negate %s" (Value.to_string v))
+    | Fun_call (name, []) when lc name = "current_date" ->
+        fun rt -> Value.Date rt.env.Eval.now
     | Fun_call (name, args) when Builtins.is_builtin name ->
         let cargs = List.map comp args in
         fun rt ->
@@ -604,57 +378,39 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
   in
   let comp_list es = Array.of_list (List.map comp es) in
   let srcs =
-    Array.init n (fun i ->
-        let name, alias, schema, left_on = resolved_arr.(i) in
-        let cols = snd binds_static.(i) in
-        let level = level_conjuncts.(i) in
+    Array.map
+      (fun (l : (string * Schema.t) Plan.level) ->
+        let name, schema = l.Plan.data in
         let hash =
-          match
-            ( (if cat.Catalog.options.Catalog.hash_joins then hash_plans.(i)
-               else None),
-              left_on )
-          with
-          | Some (col, probe, used), None ->
-              let ci =
-                match find_col cols col with
-                | Some ci -> ci
-                | None -> assert false
-              in
-              Some
-                {
-                  h_ci = ci;
-                  h_probe = comp probe;
-                  h_checks =
-                    comp_list (List.filter (fun c -> not (c == used)) level);
-                }
-          | _ -> None
+          Option.map
+            (fun (h : Plan.hash) ->
+              {
+                h_ci = h.Plan.h_ci;
+                h_probe = comp h.Plan.h_probe;
+                h_checks = comp_list h.Plan.h_checks;
+              })
+            l.Plan.hash
         in
         let period =
-          match period_plans.(i) with
-          | None -> None
-          | Some (bi, ei, ubs, lbs) ->
-              let cb (e, incl, _, _) = { bd_e = comp e; bd_incl = incl } in
-              let sat =
-                List.filter_map
-                  (fun (_, _, c, exact) -> if exact then Some c else None)
-                  (ubs @ lbs)
+          Option.map
+            (fun (pd : Plan.period) ->
+              let cb (b : Plan.bound) =
+                { bd_e = comp b.Plan.bound; bd_incl = b.Plan.incl }
               in
-              Some
-                {
-                  pd_bi = bi;
-                  pd_ei = ei;
-                  pd_ubs = List.map cb ubs;
-                  pd_lbs = List.map cb lbs;
-                  pd_sat = List.length sat;
-                  pd_checks_exact =
-                    comp_list
-                      (List.filter (fun c -> not (List.memq c sat)) level);
-                }
+              {
+                pd_bi = pd.Plan.pd_bi;
+                pd_ei = pd.Plan.pd_ei;
+                pd_ubs = List.map cb pd.Plan.pd_ubs;
+                pd_lbs = List.map cb pd.Plan.pd_lbs;
+                pd_sat = pd.Plan.pd_nsat;
+                pd_checks_exact = comp_list pd.Plan.pd_checks_exact;
+              })
+            l.Plan.period
         in
         {
           s_name = name;
-          s_alias = alias;
-          s_cols = cols;
+          s_alias = l.Plan.alias;
+          s_cols = l.Plan.cols;
           s_transaction = schema.Schema.transaction;
           s_tt_bi =
             (if schema.Schema.transaction then Schema.tt_begin_index schema
@@ -662,11 +418,12 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
           s_tt_ei =
             (if schema.Schema.transaction then Schema.tt_end_index schema
              else -1);
-          s_left_on = Option.map comp left_on;
+          s_left_on = Option.map comp l.Plan.left_on;
           s_hash = hash;
           s_period = period;
-          s_checks = comp_list level;
+          s_checks = comp_list l.Plan.checks;
         })
+      levels
   in
   let proj_items =
     List.map
@@ -697,17 +454,17 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
     p_srcs = srcs;
     p_n = n;
     p_grouped = grouped;
-    p_const_checks = (if n = 0 then comp_list level_conjuncts.(0) else [||]);
+    p_const_checks = comp_list plan.Plan.consts;
     p_proj = (fun rt -> List.concat_map (fun f -> f rt) proj_items);
     p_keys = List.map (fun (e, _) -> comp e) s.order_by;
-    p_join_event = join_event;
+    p_join_event = Plan.join_event plan;
     p_tt_index = cat.Catalog.options.Catalog.temporal_index;
   }
 
 let compile_select cat s =
   match compile_select_exn cat s with
   | p -> Some p
-  | exception Unsupported -> None
+  | exception Plan.Unsupported _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
@@ -755,6 +512,7 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
             e_version = t.Table.version;
             e_rows = None;
             e_hash = None;
+            e_scanned = false;
           }
         in
         slots.(i) <- Some e;
@@ -826,19 +584,24 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
           match e.e_hash with
           | Some h -> h
           | None ->
-              let h = Hashtbl.create 256 in
-              List.iter
-                (fun (r : Value.t array) ->
-                  let k = r.(h_ci) in
-                  if not (Value.is_null k) then
-                    Hashtbl.replace h k
-                      (r :: Option.value (Hashtbl.find_opt h k) ~default:[]))
-                (scan_rows i);
+              let h = Plan.hash_rows h_ci (scan_rows i) in
               e.e_hash <- Some h;
               h
         in
         run_hash.(i) <- Some h;
         h
+  in
+  (* The first level probes its hash index once per run.  Outside
+     routines and subqueries a SELECT typically runs once per statement,
+     where building the index costs more than the scan it replaces: its
+     first run at a table version scans, and only a second run (a
+     top-level loop) builds the index. *)
+  let top_level = env.Eval.frames = [] && !(env.Eval.depth) = 0 in
+  let use_hash i =
+    i > 0 || (not top_level) || Option.is_some run_hash.(i)
+    ||
+    let e = entry_for i in
+    Option.is_some e.e_hash || e.e_scanned || (e.e_scanned <- true; false)
   in
   let period_scan i =
     match p.p_srcs.(i).s_period with
@@ -971,8 +734,17 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
                 if all_pass sr.s_checks then extend (i + 1)
               end
           | None -> (
+              let full_scan () =
+                let rows = scan_rows i in
+                if Trace.enabled obs then begin
+                  Trace.count obs "scan.full" 1;
+                  Trace.count obs ("scan.full:" ^ Table.name tabs.(i)) 1;
+                  Trace.count obs "rows.probed" (List.length rows)
+                end;
+                iterate rows sr.s_checks
+              in
               match sr.s_hash with
-              | Some h ->
+              | Some h when use_hash i ->
                   let rows =
                     let k = h.h_probe rt in
                     if Value.is_null k then []
@@ -987,6 +759,7 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
                     Trace.count obs "conjuncts.elided" 1
                   end;
                   iterate rows h.h_checks
+              | Some _ -> full_scan ()
               | None -> (
                   match period_scan i with
                   | Some (cands, nsat) ->
@@ -1000,14 +773,7 @@ let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
                       if Trace.enabled obs && nsat > 0 then
                         Trace.count obs "conjuncts.elided" nsat;
                       iterate cands checks
-                  | None ->
-                      let rows = scan_rows i in
-                      if Trace.enabled obs then begin
-                        Trace.count obs "scan.full" 1;
-                        Trace.count obs ("scan.full:" ^ Table.name tabs.(i)) 1;
-                        Trace.count obs "rows.probed" (List.length rows)
-                      end;
-                      iterate rows sr.s_checks))
+                  | None -> full_scan ()))
         end
       in
       extend 0;

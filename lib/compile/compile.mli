@@ -2,10 +2,11 @@
 
     Cached physical plans become OCaml closure networks — column
     references pre-resolved to array offsets, comparators specialised
-    for the int-backed date/interval fast path, cursor-free scan loops —
-    mirroring the interpreter's semantics, access-path selection, trace
-    counters and guard charges exactly, so compiled results are
-    bit-identical to interpreted ones.  SELECT shapes the compiler does
+    for the int-backed date/interval fast path, cursor-free scan loops.
+    Access paths come from the planner the interpreter also uses
+    ({!Sqleval.Plan}), and the closures keep the interpreter's
+    semantics, trace counters and guard charges, so compiled results
+    are bit-identical to interpreted ones.  SELECT shapes the compiler does
     not cover fall back to the interpreter per evaluation; the
     [compile.compiled] / [compile.interpreted] trace counters expose the
     split per statement. *)

@@ -1,5 +1,5 @@
 (* The evaluator: expressions (SQL three-valued logic), queries (nested-
-   loop join with predicate pushdown and opportunistic hash joins),
+   loop joins over the access paths {!Plan} chooses),
    DML, and the PSM interpreter (control statements, cursors, stored
    functions and procedures, table-valued functions).
 
@@ -17,6 +17,13 @@ module Database = Sqldb.Database
 exception Sql_error of string
 
 let sql_error fmt = Printf.ksprintf (fun s -> raise (Sql_error s)) fmt
+
+(* Identifier case folding without allocating when [s] is already
+   lowercase (the common case on per-row name lookups). *)
+let lower s =
+  if String.exists (fun c -> c >= 'A' && c <= 'Z') s then
+    String.lowercase_ascii s
+  else s
 
 (* ------------------------------------------------------------------ *)
 (* Environment                                                         *)
@@ -111,7 +118,7 @@ let routine_env env =
   { env with frames = []; scopes = [ new_scope () ] }
 
 let find_var env name =
-  let name = String.lowercase_ascii name in
+  let name = lower name in
   let rec go = function
     | [] -> None
     | s :: rest -> (
@@ -148,7 +155,7 @@ let find_handler env =
    frame an unqualified name must be unambiguous.  Falls back to PSM
    variables, so a query inside a routine can reference its parameters. *)
 let lookup_col env qualifier name =
-  let lname = String.lowercase_ascii name in
+  let lname = lower name in
   let in_binding (b : binding) =
     let n = Array.length b.b_cols in
     let rec go i =
@@ -158,7 +165,7 @@ let lookup_col env qualifier name =
   in
   match qualifier with
   | Some q ->
-      let lq = String.lowercase_ascii q in
+      let lq = lower q in
       let rec search = function
         | [] -> None
         | frame :: rest -> (
@@ -804,350 +811,91 @@ and eval_select env (s : select) : Result_set.t =
         eval_select_interp env s
 
 and eval_select_interp env (s : select) : Result_set.t =
-  (* Flatten explicit joins: inner-join ON conditions become ordinary
-     conjuncts; a left join marks its right side with the ON condition
-     so the join loop can null-extend unmatched combinations. *)
-  let rec flatten_from (tr : table_ref) :
-      (table_ref * expr option (* left-join ON *)) list * expr list =
-    match tr with
-    | Tjoin (l, Jinner, r, on) ->
-        let ul, cl = flatten_from l in
-        let ur, cr = flatten_from r in
-        (ul @ ur, cl @ cr @ [ on ])
-    | Tjoin (l, Jleft, r, on) ->
-        let ul, cl = flatten_from l in
-        (match r with
-        | Tjoin _ ->
-            sql_error "a nested join on the right of a LEFT JOIN is not supported"
-        | _ -> ());
-        (ul @ [ (r, Some on) ], cl)
-    | _ -> ([ (tr, None) ], [])
+  let opts = env.cat.Catalog.options in
+  let plan =
+    try
+      Plan.plan opts s (fun tr ->
+          let alias, cols, src = eval_table_ref env tr in
+          let kind =
+            match src with
+            | `Scan sc -> Plan.Table (Table.schema sc.sc_table)
+            | `Rows _ -> Plan.Rows
+            | `Lateral (_, fname) ->
+                Plan.Tfun
+                  (opts.Catalog.memoize_table_functions
+                  && Catalog.find_native_table_fun env.cat fname = None)
+            | `Lateral_sub _ -> Plan.Per_row
+          in
+          (alias, cols, kind, src))
+    with Plan.Unsupported msg -> sql_error "%s" msg
   in
-  let flat_from, join_conjuncts =
-    List.fold_left
-      (fun (us, cs) tr ->
-        let u, c = flatten_from tr in
-        (us @ u, cs @ c))
-      ([], []) s.from
+  let levels = plan.Plan.levels in
+  let n = Array.length levels in
+  let bindings_arr =
+    Array.map
+      (fun (l : _ Plan.level) ->
+        { b_alias = l.Plan.alias; b_cols = l.Plan.cols; b_row = [||] })
+      levels
   in
-  let sources =
-    List.map (fun (tr, on) -> (eval_table_ref env tr, on)) flat_from
-  in
-  let bindings =
-    List.map
-      (fun (((alias, cols, _), _) : _ * expr option) ->
-        { b_alias = String.lowercase_ascii alias; b_cols = cols; b_row = [||] })
-      sources
-  in
-  let n = List.length sources in
-  let bindings_arr = Array.of_list bindings in
-  let sources_arr = Array.of_list sources in
-  let local_aliases = List.map (fun b -> b.b_alias) bindings in
-  (* Split WHERE into conjuncts and assign each to the earliest join level
-     at which all its locally-referenced aliases are bound. *)
-  let conjuncts =
-    let rec split = function
-      | Binop (And, a, b) -> split a @ split b
-      | e -> [ e ]
-    in
-    join_conjuncts
-    @ (match s.where with None -> [] | Some w -> split w)
-  in
-  let alias_level =
-    List.mapi (fun i a -> (a, i)) local_aliases
-  in
-  (* Which local aliases does an expression reference?  An unqualified
-     column counts for the first local source that has the column. *)
-  let rec expr_aliases acc (e : expr) =
-    match e with
-    | Col (Some q, _) -> (
-        let lq = String.lowercase_ascii q in
-        match List.assoc_opt lq alias_level with
-        | Some lvl -> lvl :: acc
-        | None -> acc)
-    | Col (None, c) -> (
-        let lc = String.lowercase_ascii c in
-        let found =
-          List.find_opt
-            (fun b -> Array.exists (fun col -> col = lc) b.b_cols)
-            bindings
-        in
-        match found with
-        | Some b -> (List.assoc b.b_alias alias_level) :: acc
-        | None -> acc)
+  let bindings = Array.to_list bindings_arr in
+  let obs = env.cat.Catalog.obs in
+  if Trace.enabled obs && n > 0 then
+    Trace.event obs "join" (Plan.join_event plan);
+  (* Hash indexes, built lazily once per SELECT evaluation and keyed by
+     level and table-function argument vector ([] for other sources).
+     The rows are checked physically, so a memo entry recomputed after
+     mid-statement DDL gets a new index. *)
+  let indexes = Hashtbl.create 8 in
+  let get_index i ci argv rows =
+    match Hashtbl.find_opt indexes (i, argv) with
+    | Some (rows', h) when rows' == rows -> h
     | _ ->
-        let acc =
-          fold_expr_queries
-            (fun acc q ->
-              (* Subqueries may correlate with local aliases. *)
-              List.fold_left
-                (fun acc sel ->
-                  let refs = collect_col_refs sel in
-                  List.fold_left
-                    (fun acc r ->
-                      match r with
-                      | Some q, _ -> (
-                          match
-                            List.assoc_opt (String.lowercase_ascii q) alias_level
-                          with
-                          | Some lvl -> lvl :: acc
-                          | None -> acc)
-                      | None, _ -> acc)
-                    acc refs)
-                acc (query_selects q))
-            acc e
-        in
-        shallow_fold_expr expr_aliases acc e
-  and shallow_fold_expr f acc e =
-    match e with
-    | Lit _ | Col _ -> acc
-    | Binop (_, a, b) -> f (f acc a) b
-    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> f acc a
-    | Fun_call (_, args) -> List.fold_left f acc args
-    | Agg (_, _, Some a) -> f acc a
-    | Agg (_, _, None) -> acc
-    | Case c ->
-        let acc = match c.case_operand with Some e -> f acc e | None -> acc in
-        let acc =
-          List.fold_left (fun acc (w, t) -> f (f acc w) t) acc c.case_branches
-        in
-        (match c.case_else with Some e -> f acc e | None -> acc)
-    | Exists _ | Scalar_subquery _ -> acc
-    | In_pred (e, In_list es, _) -> List.fold_left f (f acc e) es
-    | In_pred (e, In_query _, _) -> f acc e
-    | Between (a, b, c, _) -> f (f (f acc a) b) c
-    | Like (a, b, _) -> f (f acc a) b
-  in
-  let conjunct_level e =
-    match expr_aliases [] e with [] -> 0 | ls -> List.fold_left max 0 ls
-  in
-  let has_fun_call e =
-    fold_expr_funcalls
-      (fun acc name _ -> acc || not (Builtins.is_builtin name))
-      false e
-  in
-  let level_conjuncts =
-    Array.make (max n 1) ([] : expr list)
-  in
-  List.iter
-    (fun c ->
-      let lvl = conjunct_level c in
-      level_conjuncts.(lvl) <- c :: level_conjuncts.(lvl))
-    conjuncts;
-  (* Cheap conjuncts (no stored-function calls) run first at each level. *)
-  Array.iteri
-    (fun i cs ->
-      let cheap, costly = List.partition (fun c -> not (has_fun_call c)) cs in
-      level_conjuncts.(i) <- cheap @ costly)
-    level_conjuncts;
-  (* Which (lowercase) column of source [i] does [e] name, if any?  An
-     unqualified column must belong to source i and no other source. *)
-  let col_of_source i =
-    let b = bindings_arr.(i) in
-    function
-    | Col (Some q, c) when String.lowercase_ascii q = b.b_alias ->
-        let lc = String.lowercase_ascii c in
-        if Array.exists (fun col -> col = lc) b.b_cols then Some lc else None
-    | Col (None, c) ->
-        let lc = String.lowercase_ascii c in
-        if
-          Array.exists (fun col -> col = lc) b.b_cols
-          && not
-               (List.exists
-                  (fun b' ->
-                    b'.b_alias <> b.b_alias
-                    && Array.exists (fun col -> col = lc) b'.b_cols)
-                  bindings)
-        then Some lc
-        else None
-    | _ -> None
-  in
-  let bound_before i e =
-    List.for_all (fun lvl -> lvl < i) (expr_aliases [] e)
-  in
-  (* Hash-join detection: at level i, a conjunct of the form
-     col_of_source_i = expr_bound_earlier lets us index source i. *)
-  let find_hash_key i =
-    let col_of_i = col_of_source i in
-    let bound_elsewhere = bound_before i in
-    let rec scan = function
-      | [] -> None
-      | c :: rest -> (
-          match c with
-          | Binop (Eq, a, bb) -> (
-              match (col_of_i a, bound_elsewhere bb) with
-              | Some col, true -> Some (col, bb, c)
-              | _ -> (
-                  match (col_of_i bb, bound_elsewhere a) with
-                  | Some col, true -> Some (col, a, c)
-                  | _ -> scan rest))
-          | _ -> scan rest)
-    in
-    scan level_conjuncts.(i)
-  in
-  let hash_plans = Array.init (max n 1) (fun i -> if i < n then find_hash_key i else None) in
-  (* Build the hash index lazily per source. *)
-  let hash_indexes :
-      (Value.t, Value.t array list) Hashtbl.t option array =
-    Array.make (max n 1) None
-  in
-  let get_index i col rows =
-    match hash_indexes.(i) with
-    | Some h -> h
-    | None ->
-        let b = bindings_arr.(i) in
-        let ci =
-          let rec go j = if b.b_cols.(j) = col then j else go (j + 1) in
-          go 0
-        in
-        let h = Hashtbl.create 256 in
-        List.iter
-          (fun (r : Value.t array) ->
-            let k = r.(ci) in
-            if not (Value.is_null k) then
-              Hashtbl.replace h k
-                (r :: (Option.value (Hashtbl.find_opt h k) ~default:[])))
-          rows;
-        hash_indexes.(i) <- Some h;
+        let h = Plan.hash_rows ci rows in
+        Hashtbl.replace indexes (i, argv) (rows, h);
         h
   in
-  (* Period-overlap scan detection: at level i over a temporal base
-     table, range conjuncts on begin_time/end_time whose other side is
-     bound earlier describe a window [l, u) that every surviving row
-     must overlap; the table's interval index then yields the candidate
-     set in O(log n + k) instead of a full scan.  The conjuncts are
-     never marked satisfied — every candidate is still checked exactly —
-     so the index only has to return a superset, which makes NULLs,
-     non-date timestamps and empty periods trivially correct. *)
-  let find_period_plan i =
-    let (_, _, src), left_on = sources_arr.(i) in
-    match src with
-    | `Scan sc when (Table.schema sc.sc_table).Schema.temporal ->
-        let schema = Table.schema sc.sc_table in
-        let which e =
-          match col_of_source i e with
-          | Some lc when lc = Schema.begin_time_col -> Some `Begin
-          | Some lc when lc = Schema.end_time_col -> Some `End
-          | _ -> None
-        in
-        (* A usable bound must be computable before source i is bound
-           and side-effect free (it is evaluated once per scan rather
-           than once per row). *)
-        let usable e = bound_before i e && not (has_fun_call e) in
-        (* Upper bounds u: begin_time < u.  Lower bounds l: end_time > l.
-           Each entry is (bound expr, inclusive, source conjunct, exact):
-           inclusive comparisons are widened by one day when evaluated;
-           [exact] marks conjuncts the window implies outright (every
-           comparison except Eq, whose other half the window cannot
-           carry), letting the scan skip their per-row re-check when the
-           index has no residual rows. *)
-        let ubs = ref [] and lbs = ref [] in
-        let consider c =
-          match c with
-          | Binop (op, x, y) -> (
-              match (which x, which y) with
-              | Some side, None when usable y -> (
-                  match (side, op) with
-                  | `Begin, Le -> ubs := (y, true, c, true) :: !ubs
-                  | `Begin, Eq -> ubs := (y, true, c, false) :: !ubs
-                  | `Begin, Lt -> ubs := (y, false, c, true) :: !ubs
-                  | `End, Ge -> lbs := (y, true, c, true) :: !lbs
-                  | `End, Eq -> lbs := (y, true, c, false) :: !lbs
-                  | `End, Gt -> lbs := (y, false, c, true) :: !lbs
-                  | _ -> ())
-              | None, Some side when usable x -> (
-                  match (side, op) with
-                  | `Begin, Ge -> ubs := (x, true, c, true) :: !ubs
-                  | `Begin, Eq -> ubs := (x, true, c, false) :: !ubs
-                  | `Begin, Gt -> ubs := (x, false, c, true) :: !ubs
-                  | `End, Le -> lbs := (x, true, c, true) :: !lbs
-                  | `End, Eq -> lbs := (x, true, c, false) :: !lbs
-                  | `End, Lt -> lbs := (x, false, c, true) :: !lbs
-                  | _ -> ())
-              | _ -> ())
-          | _ -> ()
-        in
-        let conjuncts =
-          match left_on with
-          | None -> level_conjuncts.(i)
-          | Some on ->
-              (* LEFT JOIN: matches are selected by the ON condition. *)
-              let rec split = function
-                | Binop (And, a, b) -> split a @ split b
-                | e -> [ e ]
-              in
-              split on
-        in
-        List.iter consider conjuncts;
-        if !ubs = [] && !lbs = [] then None
-        else
-          Some (sc, Schema.begin_index schema, Schema.end_index schema, !ubs, !lbs)
-    | _ -> None
-  in
-  let period_plans =
-    Array.init (max n 1) (fun i ->
-        if i < n && env.cat.Catalog.options.Catalog.temporal_index then
-          find_period_plan i
-        else None)
-  in
-  (* One plan event per SELECT evaluation: the join order with the
-     statically-chosen access path at each level.  (A period plan can
-     still fall back at runtime on a non-date bound; that shows up as a
-     [scan.residual_fallback] counter.) *)
-  if Trace.enabled env.cat.Catalog.obs && n > 0 then begin
-    let path i =
-      let (_, _, src), left_on = sources_arr.(i) in
-      match src with
-      | `Lateral _ | `Lateral_sub _ -> "lateral"
-      | `Rows _ | `Scan _ -> (
-          match hash_plans.(i) with
-          | Some (col, _, _)
-            when left_on = None && env.cat.Catalog.options.Catalog.hash_joins ->
-              "hash(" ^ col ^ ")"
-          | _ -> if period_plans.(i) <> None then "index" else "full")
-    in
-    let parts =
-      List.init n (fun i -> bindings_arr.(i).b_alias ^ ":" ^ path i)
-    in
-    Trace.event env.cat.Catalog.obs "join" ("order=" ^ String.concat "," parts)
-  end;
   (* Run level i's period plan, if any: evaluate the bound expressions
      (declining unless every one yields a DATE) and query the interval
      index.  Candidates come back in scan order, so downstream results
      are indistinguishable from a full scan.  The second component is
-     the conjuncts the window already enforces exactly (b < min u_i
+     how many conjuncts the window already enforces exactly (b < min u_i
      implies every upper conjunct, e > max l_i every lower one) — valid
      only when the index has no residual rows, since residuals are
      returned unchecked. *)
-  let obs = env.cat.Catalog.obs in
   let period_scan i =
-    match period_plans.(i) with
-    | None -> None
-    | Some (sc, bi, ei, ubs, lbs) -> (
+    match (levels.(i).Plan.period, levels.(i).Plan.data) with
+    | Some pd, `Scan sc -> (
         let fold init pick adjust bounds =
           List.fold_left
-            (fun acc (e, incl, _, _) ->
+            (fun acc (b : Plan.bound) ->
               match acc with
               | None -> None
               | Some v -> (
-                  match eval_expr env e with
-                  | Value.Date d -> Some (pick v (adjust d incl))
+                  match eval_expr env b.Plan.bound with
+                  | Value.Date d -> Some (pick v (adjust d b.Plan.incl))
                   | _ -> None))
             (Some init) bounds
         in
-        let u = fold max_int min (fun d incl -> if incl then d + 1 else d) ubs in
-        let l = fold min_int max (fun d incl -> if incl then d - 1 else d) lbs in
+        let u =
+          fold max_int min
+            (fun d incl -> if incl then d + 1 else d)
+            pd.Plan.pd_ubs
+        in
+        let l =
+          fold min_int max
+            (fun d incl -> if incl then d - 1 else d)
+            pd.Plan.pd_lbs
+        in
+        let bi = pd.Plan.pd_bi and ei = pd.Plan.pd_ei in
         match (l, u) with
         | Some l, Some u ->
             let cands =
               Table.overlapping sc.sc_table ~bi ~ei ~begin_:l ~end_:u
             in
-            let satisfied =
+            let nsat =
               if Table.overlap_residuals sc.sc_table ~bi ~ei = 0 then
-                List.filter_map
-                  (fun (_, _, c, exact) -> if exact then Some c else None)
-                  (ubs @ lbs)
-              else []
+                pd.Plan.pd_nsat
+              else 0
             in
             if Trace.enabled obs then begin
               let tname = Table.name sc.sc_table in
@@ -1160,14 +908,13 @@ and eval_select_interp env (s : select) : Result_set.t =
               Trace.event obs "scan"
                 (Printf.sprintf
                    "indexed table=%s window=(%s,%s) probes=%d elided=%d" tname
-                   (bound l "-inf") (bound u "+inf") (List.length cands)
-                   (List.length satisfied))
+                   (bound l "-inf") (bound u "+inf") (List.length cands) nsat)
             end;
             Some
               ( (match sc.sc_tt_filter with
                 | Some p -> List.filter p cands
                 | None -> cands),
-                satisfied )
+                nsat )
         | _ ->
             (* A bound did not evaluate to a DATE: fall back to the full
                scan rather than trust the window. *)
@@ -1178,6 +925,7 @@ and eval_select_interp env (s : select) : Result_set.t =
                    (Table.name sc.sc_table))
             end;
             None)
+    | _ -> None
   in
   (* Push the new frame for this SELECT. *)
   let saved_frames = env.frames in
@@ -1209,30 +957,31 @@ and eval_select_interp env (s : select) : Result_set.t =
           flat_rows := Array.of_list (out @ keys) :: !flat_rows
         end
       in
+      let all_pass checks =
+        List.for_all (fun c -> truthy (eval_expr env c)) checks
+      in
       let rec extend i =
         if i = n then begin
-          (* Constant conjuncts at level 0 were already checked when n>0;
-             when n=0 check them here. *)
-          if n = 0 then begin
-            if List.for_all (fun c -> truthy (eval_expr env c)) level_conjuncts.(0)
-            then emit ()
-          end
+          (* A SELECT without FROM checks its constant conjuncts here. *)
+          if n = 0 then begin if all_pass plan.Plan.consts then emit () end
           else emit ()
         end
         else begin
-          let (_, _, src), left_on = sources_arr.(i) in
+          let l = levels.(i) in
           let b = bindings_arr.(i) in
+          let lateral_rows args fname =
+            let argv = List.map (eval_expr env) args in
+            if List.exists Value.is_null argv then (argv, [])
+            else (argv, (invoke_table_function env fname argv).Result_set.rows)
+          in
           let all_rows () =
-            match src with
+            match l.Plan.data with
             | `Rows rows -> rows
             | `Scan sc -> Lazy.force sc.sc_rows
-            | `Lateral (args, fname) ->
-                let argv = List.map (eval_expr env) args in
-                if List.exists Value.is_null argv then []
-                else (invoke_table_function env fname argv).Result_set.rows
+            | `Lateral (args, fname) -> snd (lateral_rows args fname)
             | `Lateral_sub q -> (eval_query env q).Result_set.rows
           in
-          match left_on with
+          match l.Plan.left_on with
           | Some on ->
               (* LEFT JOIN: the ON condition selects matches; when none
                  match, the right side is null-extended (WHERE-level
@@ -1256,11 +1005,7 @@ and eval_select_interp env (s : select) : Result_set.t =
                   b.b_row <- row;
                   if truthy (eval_expr env on) then begin
                     matched := true;
-                    if
-                      List.for_all
-                        (fun c -> truthy (eval_expr env c))
-                        level_conjuncts.(i)
-                    then begin
+                    if all_pass l.Plan.checks then begin
                       Trace.count obs "rows.matched" 1;
                       extend (i + 1)
                     end
@@ -1268,81 +1013,67 @@ and eval_select_interp env (s : select) : Result_set.t =
                 rows;
               if not !matched then begin
                 b.b_row <- Array.make (Array.length b.b_cols) Value.Null;
-                if
-                  List.for_all
-                    (fun c -> truthy (eval_expr env c))
-                    level_conjuncts.(i)
-                then extend (i + 1)
+                if all_pass l.Plan.checks then extend (i + 1)
               end
           | None ->
-              (* [satisfied] lists conjuncts already enforced by the
-                 access path — the hash lookup's equality, or the
-                 interval-index window's exact comparisons; lateral
-                 sources always scan. *)
-              let candidate_rows, satisfied =
-                match src with
-                | `Lateral _ | `Lateral_sub _ ->
+              (* Each access path also names the conjuncts left to check:
+                 the hash lookup enforces its equality, an exact
+                 interval-index window its comparisons. *)
+              let candidate_rows, checks =
+                match (l.Plan.hash, l.Plan.data) with
+                | Some h, src ->
+                    let index =
+                      match src with
+                      | `Lateral (args, fname) ->
+                          let argv, rows = lateral_rows args fname in
+                          lazy (get_index i h.Plan.h_ci argv rows)
+                      | _ -> lazy (get_index i h.Plan.h_ci [] (all_rows ()))
+                    in
+                    let rows =
+                      let k = eval_expr env h.Plan.h_probe in
+                      if Value.is_null k then []
+                      else
+                        Option.value ~default:[]
+                          (Hashtbl.find_opt (Lazy.force index) k)
+                    in
+                    if Trace.enabled obs then begin
+                      Trace.count obs "scan.hash" 1;
+                      Trace.count obs "rows.probed" (List.length rows);
+                      Trace.count obs "conjuncts.elided" 1
+                    end;
+                    (rows, h.Plan.h_checks)
+                | None, (`Lateral _ | `Lateral_sub _) ->
                     let rows = all_rows () in
                     if Trace.enabled obs then begin
                       Trace.count obs "scan.lateral" 1;
                       Trace.count obs "rows.probed" (List.length rows)
                     end;
-                    (rows, [])
-                | `Rows _ | `Scan _ -> (
-                    let hash_plan =
-                      if env.cat.Catalog.options.Catalog.hash_joins then
-                        hash_plans.(i)
-                      else None
-                    in
-                    match hash_plan with
-                    | Some (col, probe, used) ->
-                        let rows =
-                          let k = eval_expr env probe in
-                          if Value.is_null k then []
-                          else
-                            match
-                              Hashtbl.find_opt (get_index i col (all_rows ())) k
-                            with
-                            | Some rs -> rs
-                            | None -> []
-                        in
+                    (rows, l.Plan.checks)
+                | None, src -> (
+                    match (period_scan i, l.Plan.period) with
+                    | Some (cands, nsat), Some pd when nsat > 0 ->
+                        if Trace.enabled obs then
+                          Trace.count obs "conjuncts.elided" nsat;
+                        (cands, pd.Plan.pd_checks_exact)
+                    | Some (cands, _), _ -> (cands, l.Plan.checks)
+                    | None, _ ->
+                        let rows = all_rows () in
                         if Trace.enabled obs then begin
-                          Trace.count obs "scan.hash" 1;
+                          let tname =
+                            match src with
+                            | `Scan sc -> Table.name sc.sc_table
+                            | _ -> b.b_alias
+                          in
+                          Trace.count obs "scan.full" 1;
+                          Trace.count obs ("scan.full:" ^ tname) 1;
                           Trace.count obs "rows.probed" (List.length rows)
                         end;
-                        (rows, [ used ])
-                    | None -> (
-                        match period_scan i with
-                        | Some (cands, sat) -> (cands, sat)
-                        | None ->
-                            let rows = all_rows () in
-                            if Trace.enabled obs then begin
-                              let tname =
-                                match src with
-                                | `Scan sc -> Table.name sc.sc_table
-                                | _ -> b.b_alias
-                              in
-                              Trace.count obs "scan.full" 1;
-                              Trace.count obs ("scan.full:" ^ tname) 1;
-                              Trace.count obs "rows.probed" (List.length rows)
-                            end;
-                            (rows, [])))
+                        (rows, l.Plan.checks))
               in
-              let checks =
-                match satisfied with
-                | [] -> level_conjuncts.(i)
-                | sat ->
-                    List.filter
-                      (fun c -> not (List.memq c sat))
-                      level_conjuncts.(i)
-              in
-              if Trace.enabled obs && satisfied <> [] then
-                Trace.count obs "conjuncts.elided" (List.length satisfied);
               List.iter
                 (fun row ->
                   b.b_row <- row;
-                  if List.for_all (fun c -> truthy (eval_expr env c)) checks
-                  then begin
+                  if all_pass checks then begin
                     Trace.count obs "rows.matched" 1;
                     extend (i + 1)
                   end)
@@ -1533,34 +1264,6 @@ and finish_grouped env (s : select) bindings snapshots : Result_set.t =
     keys_in_order;
   finish_flat env { s with distinct = s.distinct } (List.rev !out_rows)
   |> fun rs -> { rs with Result_set.cols = cols }
-
-(* Collect (qualifier, column) references of a select block, shallowly. *)
-and collect_col_refs (sel : select) : (string option * string) list =
-  let acc = ref [] in
-  let rec walk (e : expr) =
-    match e with
-    | Col (q, c) -> acc := (q, c) :: !acc
-    | Lit _ -> ()
-    | Binop (_, a, b) -> walk a; walk b
-    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> walk a
-    | Fun_call (_, args) -> List.iter walk args
-    | Agg (_, _, Some a) -> walk a
-    | Agg (_, _, None) -> ()
-    | Case c ->
-        Option.iter walk c.case_operand;
-        List.iter (fun (w, t) -> walk w; walk t) c.case_branches;
-        Option.iter walk c.case_else
-    | Exists _ | Scalar_subquery _ -> ()
-    | In_pred (e, In_list es, _) -> walk e; List.iter walk es
-    | In_pred (e, In_query _, _) -> walk e
-    | Between (a, b, c, _) -> walk a; walk b; walk c
-    | Like (a, b, _) -> walk a; walk b
-  in
-  List.iter (function Proj_expr (e, _) -> walk e | _ -> ()) sel.proj;
-  Option.iter walk sel.where;
-  List.iter walk sel.group_by;
-  Option.iter walk sel.having;
-  !acc
 
 (* ------------------------------------------------------------------ *)
 (* Routine invocation                                                  *)
@@ -1958,6 +1661,12 @@ and exec_insert env tname cols src : exec_result =
       List.iter (fun r -> insert_values (Array.to_list r)) rs.Result_set.rows;
       Affected (List.length rs.Result_set.rows)
 
+(* A DML WHERE clause, checked conjunct by conjunct in written order:
+   the first conjunct that fails skips the rest of the row. *)
+and where_holds env where =
+  let cs = match where with None -> [] | Some w -> Plan.split_and w in
+  fun () -> List.for_all (fun c -> truthy (eval_expr env c)) cs
+
 and with_table_binding env t f =
   let schema = Table.schema t in
   let cols =
@@ -1979,6 +1688,7 @@ and with_table_binding env t f =
 
 and exec_update env tname sets where : exec_result =
   let t = Database.find_table_exn env.cat.Catalog.db tname in
+  let holds = where_holds env where in
   let schema = Table.schema t in
   (List.iter
      (fun (c, _) ->
@@ -2003,9 +1713,7 @@ and exec_update env tname sets where : exec_result =
           Table.update_where
             (fun row ->
               b.b_row <- row;
-              match where with
-              | None -> true
-              | Some w -> truthy (eval_expr env w))
+              holds ())
             (fun row ->
               b.b_row <- row;
               let row' = Array.copy row in
@@ -2029,9 +1737,7 @@ and exec_update env tname sets where : exec_result =
         let matches row =
           b.b_row <- row;
           is_current row
-          && match where with
-             | None -> true
-             | Some w -> truthy (eval_expr env w)
+          && holds ()
         in
         let modified row =
           b.b_row <- row;
@@ -2063,6 +1769,7 @@ and exec_update env tname sets where : exec_result =
 
 and exec_delete env tname where : exec_result =
   let t = Database.find_table_exn env.cat.Catalog.db tname in
+  let holds = where_holds env where in
   let schema = Table.schema t in
   if not schema.Schema.transaction then
     with_table_binding env t (fun b ->
@@ -2070,9 +1777,7 @@ and exec_delete env tname where : exec_result =
           Table.delete_where
             (fun row ->
               b.b_row <- row;
-              match where with
-              | None -> true
-              | Some w -> truthy (eval_expr env w))
+              holds ())
             t
         in
         Affected n)
@@ -2084,9 +1789,7 @@ and exec_delete env tname where : exec_result =
         let matches row =
           b.b_row <- row;
           Value.to_date_exn row.(ei) = Date.forever
-          && match where with
-             | None -> true
-             | Some w -> truthy (eval_expr env w)
+          && holds ()
         in
         let removed =
           Table.delete_where
