@@ -33,9 +33,9 @@ let env_jobs =
   | None -> 1
 
 (* TAUPSM_COMPILE={0,1} forces plan compilation off or on for the same
-   opt-in harness runs (CI repeats the recovery fuzz with it pinned on,
-   proving compiled evaluation against the durable stratum). Absent, the
-   engine default (on) stands. *)
+   opt-in harness runs.  Compilation is the engine default, so CI repeats
+   the recovery fuzz with it off: the crash points then also drive the
+   interpreter's sources through the shared SELECT executor. *)
 let env_compile = Option.map (( <> ) "0") (Sys.getenv_opt "TAUPSM_COMPILE")
 
 let apply_env_jobs e =

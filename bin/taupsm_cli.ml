@@ -130,29 +130,6 @@ let strategy_choice_arg =
            MAX/PERST choice with learned calibration), $(b,max), or \
            $(b,perst).")
 
-(* Resolve a strategy choice against an engine: Auto turns the adaptive
-   chooser on and forces nothing; Force pins every statement. *)
-let set_strategy_choice e choice =
-  match choice with
-  | Taupsm.Strategy.Auto ->
-      (Engine.catalog e).Sqleval.Catalog.options.Sqleval.Catalog.auto_strategy <-
-        true;
-      None
-  | Taupsm.Strategy.Force s -> Some s
-
-let no_cp_memo_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cp-memo" ]
-        ~doc:
-          "Disable the incremental constant-period memo (every sequenced \
-           MAX execution recomputes taupsm_ts/taupsm_cp from scratch; \
-           results are identical).")
-
-let set_cp_memo e no_cp_memo =
-  (Engine.catalog e).Sqleval.Catalog.options.Sqleval.Catalog
-  .memoize_constant_periods <- not no_cp_memo
-
 let dataset_arg =
   Arg.(
     value
@@ -220,15 +197,6 @@ let jobs_arg =
            (the constant-period set is sliced into per-domain batches; \
            results are identical to $(docv)=1).")
 
-let no_compile_arg =
-  Arg.(
-    value & flag
-    & info [ "no-compile" ]
-        ~doc:
-          "Evaluate every SELECT with the tree-walking interpreter instead \
-           of compiled plan closures (results are identical; useful for \
-           timing comparisons and for isolating compiler bugs).")
-
 (* Oversubscribing domains only adds scheduling overhead; say so once,
    not once per statement or REPL line. *)
 let jobs_warned = ref false
@@ -248,10 +216,6 @@ let set_jobs e jobs =
     raise (Eval.Sql_error (Printf.sprintf "--jobs must be >= 1 (got %d)" jobs));
   warn_oversubscribed jobs;
   (Engine.catalog e).Sqleval.Catalog.options.Sqleval.Catalog.jobs <- jobs
-
-let set_compile e no_compile =
-  if no_compile then
-    (Engine.catalog e).Sqleval.Catalog.options.Sqleval.Catalog.compile <- false
 
 let set_guards e deadline max_rows loop_cap fallback no_atomic =
   let g =
@@ -414,7 +378,7 @@ let run_cmd =
       & info [] ~docv:"STATEMENT" ~doc:"Temporal SQL/PSM statement(s).")
   in
   let run choice dataset empty seed deadline max_rows loop_cap fallback
-      no_atomic jobs no_compile no_cp_memo db_dir policy snapshot_every stmts =
+      no_atomic jobs db_dir policy snapshot_every stmts =
     handle_errors (fun () ->
         let e, h =
           make_durable_engine ~empty ~seed ~policy ~snapshot_every dataset
@@ -425,9 +389,7 @@ let run_cmd =
           (fun () ->
             set_guards e deadline max_rows loop_cap fallback no_atomic;
             set_jobs e jobs;
-            set_compile e no_compile;
-            set_cp_memo e no_cp_memo;
-            let strategy = set_strategy_choice e choice in
+            let strategy = Stratum.deploy e choice in
             List.iter
               (fun stmt -> print_result (Stratum.exec_sql ?strategy e stmt))
               stmts))
@@ -437,8 +399,8 @@ let run_cmd =
     Term.(
       const run $ strategy_choice_arg $ dataset_arg $ empty_arg $ seed_arg
       $ deadline_arg $ max_rows_arg $ loop_cap_arg $ fallback_arg
-      $ no_atomic_arg $ jobs_arg $ no_compile_arg $ no_cp_memo_arg
-      $ db_dir_arg $ wal_sync_arg $ snapshot_every_arg $ stmts_arg)
+      $ no_atomic_arg $ jobs_arg $ db_dir_arg $ wal_sync_arg
+      $ snapshot_every_arg $ stmts_arg)
 
 (* ------------------------------------------------------------------ *)
 (* repl                                                                *)
@@ -446,15 +408,13 @@ let run_cmd =
 
 let repl_cmd =
   let run choice dataset empty seed deadline max_rows loop_cap fallback
-      no_atomic jobs no_compile no_cp_memo db_dir policy snapshot_every =
+      no_atomic jobs db_dir policy snapshot_every =
     let e, h =
       make_durable_engine ~empty ~seed ~policy ~snapshot_every dataset db_dir
     in
     set_guards e deadline max_rows loop_cap fallback no_atomic;
     set_jobs e jobs;
-    set_compile e no_compile;
-    set_cp_memo e no_cp_memo;
-    let strategy = set_strategy_choice e choice in
+    let strategy = Stratum.deploy e choice in
     Printf.printf
       "taupsm repl — %s; statements end with ';', Ctrl-D exits.\n\
        Sequenced DML and TEMPORAL MERGE are available (see \
@@ -488,8 +448,8 @@ let repl_cmd =
     Term.(
       const run $ strategy_choice_arg $ dataset_arg $ empty_arg $ seed_arg
       $ deadline_arg $ max_rows_arg $ loop_cap_arg $ fallback_arg
-      $ no_atomic_arg $ jobs_arg $ no_compile_arg $ no_cp_memo_arg
-      $ db_dir_arg $ wal_sync_arg $ snapshot_every_arg)
+      $ no_atomic_arg $ jobs_arg $ db_dir_arg $ wal_sync_arg
+      $ snapshot_every_arg)
 
 (* ------------------------------------------------------------------ *)
 (* recover                                                             *)
@@ -881,9 +841,9 @@ let serve_cmd =
              timing replays deterministically (fuzz/debug; default: \
              process-global PRNG).")
   in
-  let run choice no_cp_memo dataset empty seed db_dir snapshot_every host port
-      workers queue_depth idle_timeout drain_deadline deadline max_rows
-      max_batch sync retry_seed =
+  let run choice dataset empty seed db_dir snapshot_every host port workers
+      queue_depth idle_timeout drain_deadline deadline max_rows max_batch sync
+      retry_seed =
     handle_errors (fun () ->
         let policy =
           match sync with
@@ -894,11 +854,10 @@ let serve_cmd =
           make_durable_engine ~empty ~seed ~policy ~snapshot_every dataset
             db_dir
         in
-        set_cp_memo e no_cp_memo;
         (* Auto enables the adaptive chooser on the serving engine (read
            views inherit it); a forced strategy becomes the default for
            requests that don't carry their own. *)
-        let default_strategy = set_strategy_choice e choice in
+        let default_strategy = Stratum.deploy e choice in
         let cfg =
           {
             Serve.Server.host;
@@ -949,7 +908,7 @@ let serve_cmd =
           single-writer group commit, admission control, graceful drain \
           on SIGTERM.")
     Term.(
-      const run $ strategy_choice_arg $ no_cp_memo_arg $ dataset_arg
+      const run $ strategy_choice_arg $ dataset_arg
       $ empty_arg $ seed_arg $ db_dir_arg $ snapshot_every_arg $ host_arg
       $ port_arg ~default:7411 ~doc:"Port to listen on (0 = ephemeral)."
       $ workers_arg $ queue_depth_arg $ idle_timeout_arg $ drain_deadline_arg

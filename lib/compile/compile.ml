@@ -1,16 +1,15 @@
-(* Plan compilation: turn a SELECT the interpreter would analyse afresh
-   on every evaluation into an OCaml closure network built once per
-   (statement, plan token) and reused for the statement's lifetime.
-
-   Join order and access paths (hash / interval-index / full scan) come
-   from the shared planner, Sqleval.Plan, the same analysis the
-   interpreter runs; this module lowers that plan into closures with the
-   interpreter's three-valued logic, trace counters, guard charges and
-   evaluation order for side-effecting sub-expressions, so its results
-   are bit-identical.  What it removes is the per-evaluation overhead:
-   planning, alias/column name resolution (pre-resolved to array
-   offsets), per-call hash-index builds, and transaction-time
-   re-filtering of unchanged tables.
+(* Plan compilation: expression lowering plus a plan store.  A SELECT
+   the interpreter would plan and lower afresh on every evaluation is
+   planned once per (statement, plan token) by the shared planner,
+   Sqleval.Plan, and its expressions are lowered into specialised
+   closures; the result is cached for the statement's lifetime.  Both
+   evaluators run their lowered plan through the same executor,
+   {!Sqleval.Eval.run_plan}, so join order, access paths, trace counters
+   and guard charges are the same by construction.  What compilation
+   removes is the per-evaluation overhead: planning, alias/column name
+   resolution (pre-resolved to array offsets), generic value dispatch
+   on the common INT/DATE comparisons, per-call hash-index builds, and
+   transaction-time re-filtering of unchanged tables.
 
    Coverage is partial by design: any SELECT whose FROM contains
    something other than base-table references (views, derived tables,
@@ -40,58 +39,10 @@ let lc = String.lowercase_ascii
 (* Compiled forms                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The runtime context a compiled closure runs against: the live
-   evaluation environment (for subquery fallbacks, PSM variables and
-   guards) plus this plan's own bindings, freshly allocated per run so
-   re-entrant evaluations (a routine called from a projection re-running
-   the same plan) cannot clobber each other's rows. *)
-type rt = { env : Eval.env; binds : Eval.binding array }
-
-type cexpr = rt -> Value.t
-
-(* An interval-index window bound: begin_time < u / end_time > l. *)
-type cbound = { bd_e : cexpr; bd_incl : bool }
-
-type cperiod = {
-  pd_bi : int;
-  pd_ei : int;
-  pd_ubs : cbound list;
-  pd_lbs : cbound list;
-  pd_sat : int;  (* conjuncts the window implies when the index is exact *)
-  pd_checks_exact : cexpr array;  (* level checks minus the implied ones *)
-}
-
-type chash = {
-  h_ci : int;  (* hashed column offset in the source's rows *)
-  h_probe : cexpr;
-  h_checks : cexpr array;  (* level checks minus the hash equality *)
-}
-
-type csrc = {
-  s_name : string;  (* table lookup name; resolved per run *)
-  s_alias : string;  (* lowercase *)
-  s_cols : string array;  (* lowercase; fixed by the schema token *)
-  s_transaction : bool;
-  s_tt_bi : int;
-  s_tt_ei : int;
-  s_left_on : cexpr option;
-  s_hash : chash option;  (* inner joins under options.hash_joins only *)
-  s_period : cperiod option;
-  s_checks : cexpr array;  (* this level's conjuncts, cheap-first order *)
-}
-
-type cplan = {
-  p_id : int;
-  p_select : select;  (* for the shared distinct/sort/group tail *)
-  p_srcs : csrc array;
-  p_n : int;
-  p_grouped : bool;
-  p_const_checks : cexpr array;  (* level-0 conjuncts when FROM is empty *)
-  p_proj : rt -> Value.t list;
-  p_keys : cexpr list;
-  p_join_event : string;
-  p_tt_index : bool;  (* options.temporal_index, baked into the token *)
-}
+(* A compiled SELECT: the lowered plan over its base tables, each
+   level's data being the table's lookup name (resolved per run) and
+   schema (fixed by the plan token). *)
+type cplan = { p_id : int; p_lowered : (string * Schema.t) Eval.lowered }
 
 (* ------------------------------------------------------------------ *)
 (* Caches                                                              *)
@@ -239,8 +190,8 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
   (* The generic fallback re-enters the interpreter for one node; since
      the plan's bindings are pushed as the innermost frame at run time,
      name resolution there behaves exactly as in interpreted mode. *)
-  let generic e = fun rt -> Eval.eval_expr rt.env e in
-  let rec comp (e : expr) : cexpr =
+  let generic e = fun (rt : Eval.rt) -> Eval.eval_expr rt.Eval.env e in
+  let rec comp (e : expr) : Eval.cexpr =
     match e with
     | Lit v -> fun _ -> v
     | Col (q, name) -> (
@@ -250,7 +201,7 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
             match find_alias (lc qq) with
             | Some bi -> (
                 match find_col (snd binds_static.(bi)) lname with
-                | Some ci -> fun rt -> rt.binds.(bi).Eval.b_row.(ci)
+                | Some ci -> fun rt -> rt.Eval.binds.(bi).Eval.b_row.(ci)
                 | None -> fun _ -> Eval.sql_error "no column %s in %s" name qq)
             | None -> generic e)
         | None -> (
@@ -262,7 +213,7 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
                 | None -> ())
               binds_static;
             match !hits with
-            | [ (bi, ci) ] -> fun rt -> rt.binds.(bi).Eval.b_row.(ci)
+            | [ (bi, ci) ] -> fun rt -> rt.Eval.binds.(bi).Eval.b_row.(ci)
             | [] -> generic e
             | _ -> fun _ -> Eval.sql_error "ambiguous column reference %s" name))
     | Binop (And, a, b) ->
@@ -293,12 +244,12 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
           | Value.Float f -> Value.Float (-.f)
           | v -> Eval.sql_error "cannot negate %s" (Value.to_string v))
     | Fun_call (name, []) when lc name = "current_date" ->
-        fun rt -> Value.Date rt.env.Eval.now
+        fun rt -> Value.Date rt.Eval.env.Eval.now
     | Fun_call (name, args) when Builtins.is_builtin name ->
         let cargs = List.map comp args in
         fun rt ->
           let argv = List.map (fun c -> c rt) cargs in
-          Builtins.call ~now:rt.env.Eval.now name argv
+          Builtins.call ~now:rt.Eval.env.Eval.now name argv
     | Cast (e1, ty) ->
         let c = comp e1 in
         fun rt -> Value.cast ~ty (c rt)
@@ -376,90 +327,7 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
     | In_pred (_, In_query _, _) ->
         generic e
   in
-  let comp_list es = Array.of_list (List.map comp es) in
-  let srcs =
-    Array.map
-      (fun (l : (string * Schema.t) Plan.level) ->
-        let name, schema = l.Plan.data in
-        let hash =
-          Option.map
-            (fun (h : Plan.hash) ->
-              {
-                h_ci = h.Plan.h_ci;
-                h_probe = comp h.Plan.h_probe;
-                h_checks = comp_list h.Plan.h_checks;
-              })
-            l.Plan.hash
-        in
-        let period =
-          Option.map
-            (fun (pd : Plan.period) ->
-              let cb (b : Plan.bound) =
-                { bd_e = comp b.Plan.bound; bd_incl = b.Plan.incl }
-              in
-              {
-                pd_bi = pd.Plan.pd_bi;
-                pd_ei = pd.Plan.pd_ei;
-                pd_ubs = List.map cb pd.Plan.pd_ubs;
-                pd_lbs = List.map cb pd.Plan.pd_lbs;
-                pd_sat = pd.Plan.pd_nsat;
-                pd_checks_exact = comp_list pd.Plan.pd_checks_exact;
-              })
-            l.Plan.period
-        in
-        {
-          s_name = name;
-          s_alias = l.Plan.alias;
-          s_cols = l.Plan.cols;
-          s_transaction = schema.Schema.transaction;
-          s_tt_bi =
-            (if schema.Schema.transaction then Schema.tt_begin_index schema
-             else -1);
-          s_tt_ei =
-            (if schema.Schema.transaction then Schema.tt_end_index schema
-             else -1);
-          s_left_on = Option.map comp l.Plan.left_on;
-          s_hash = hash;
-          s_period = period;
-          s_checks = comp_list l.Plan.checks;
-        })
-      levels
-  in
-  let proj_items =
-    List.map
-      (function
-        | Star ->
-            fun rt ->
-              Array.fold_right
-                (fun b acc -> Array.to_list b.Eval.b_row @ acc)
-                rt.binds []
-        | Qual_star q -> (
-            match find_alias (lc q) with
-            | Some k -> fun rt -> Array.to_list rt.binds.(k).Eval.b_row
-            | None -> fun _ -> Eval.sql_error "unknown alias %s.*" q)
-        | Proj_expr (e, _) ->
-            let c = comp e in
-            fun rt -> [ c rt ])
-      s.proj
-  in
-  let grouped =
-    s.group_by <> [] || s.having <> None
-    || List.exists
-         (function Proj_expr (e, _) -> Eval.fold_has_agg e | _ -> false)
-         s.proj
-  in
-  {
-    p_id = Atomic.fetch_and_add next_id 1;
-    p_select = s;
-    p_srcs = srcs;
-    p_n = n;
-    p_grouped = grouped;
-    p_const_checks = comp_list plan.Plan.consts;
-    p_proj = (fun rt -> List.concat_map (fun f -> f rt) proj_items);
-    p_keys = List.map (fun (e, _) -> comp e) s.order_by;
-    p_join_event = Plan.join_event plan;
-    p_tt_index = cat.Catalog.options.Catalog.temporal_index;
-  }
+  { p_id = Atomic.fetch_and_add next_id 1; p_lowered = Eval.lower comp s plan }
 
 let compile_select cat s =
   match compile_select_exn cat s with
@@ -470,316 +338,93 @@ let compile_select cat s =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_plan (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
-  let cat = env.Eval.cat in
-  let obs = cat.Catalog.obs in
-  let n = p.p_n in
-  (* Resolve source tables against the live database in source order; a
-     vanished table raises the interpreter's own resolution error (in
-     practice a drop bumps the plan token first). *)
-  let tabs =
-    Array.map
-      (fun sr ->
-        match Database.find_table cat.Catalog.db sr.s_name with
-        | Some t -> t
-        | None -> Eval.sql_error "unknown table or view %s" sr.s_name)
-      p.p_srcs
-  in
-  let binds =
-    Array.map
-      (fun sr ->
-        { Eval.b_alias = sr.s_alias; b_cols = sr.s_cols; b_row = [||] })
-      p.p_srcs
-  in
-  let rt = { env; binds } in
-  let binds_list = Array.to_list binds in
+(* Run [p] through the executor over this statement's row and hash
+   caches. *)
+let run (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
+  let levels = p.p_lowered.Eval.lw_plan.Plan.levels in
   let slots =
     match Hashtbl.find_opt es.es_caches p.p_id with
     | Some a -> a
     | None ->
-        let a = Array.make (max n 1) None in
+        let a = Array.make (max (Array.length levels) 1) None in
         Hashtbl.replace es.es_caches p.p_id a;
         a
   in
-  let entry_for i =
-    let t = tabs.(i) in
-    match slots.(i) with
-    | Some e when e.e_table == t && e.e_version = t.Table.version -> e
-    | _ ->
-        let e =
-          {
-            e_table = t;
-            e_version = t.Table.version;
-            e_rows = None;
-            e_hash = None;
-            e_scanned = false;
-          }
-        in
-        slots.(i) <- Some e;
-        e
-  in
-  let tt_filter i =
-    let sr = p.p_srcs.(i) in
-    if not sr.s_transaction then None
-    else
-      match env.Eval.tt_mode with
-      | `All -> None
-      | `Current ->
-          Some
-            (fun (r : Value.t array) ->
-              Value.to_date_exn r.(sr.s_tt_ei) = Date.forever)
-      | `Asof d ->
-          Some
-            (fun (r : Value.t array) ->
-              Value.to_date_exn r.(sr.s_tt_bi) <= d
-              && d < Value.to_date_exn r.(sr.s_tt_ei))
-  in
-  (* The per-run memo mirrors the interpreter's per-evaluation laziness:
-     within one run the row list and hash index are frozen at first use
-     (a mid-run mutation by a routine does not refresh them, exactly as
-     a forced lazy stays forced), while across runs the persistent entry
-     revalidates against the table's identity and version. *)
-  let run_rows : Value.t array list option array = Array.make (max n 1) None in
-  let run_hash : (Value.t, Value.t array list) Hashtbl.t option array =
-    Array.make (max n 1) None
-  in
-  let scan_rows i =
-    match run_rows.(i) with
-    | Some rows -> rows
-    | None ->
-        let e = entry_for i in
-        let rows =
-          match e.e_rows with
-          | Some rows -> rows
-          | None ->
-              let sr = p.p_srcs.(i) in
-              let t = tabs.(i) in
-              let rows =
-                match tt_filter i with
-                | None -> Table.to_list t
-                | Some pfn ->
-                    if p.p_tt_index then
-                      let begin_, end_ =
-                        match env.Eval.tt_mode with
-                        | `Asof d -> (d, d + 1)
-                        | _ -> (Date.forever - 1, max_int)
-                      in
-                      List.filter pfn
-                        (Table.overlapping t ~bi:sr.s_tt_bi ~ei:sr.s_tt_ei
-                           ~begin_ ~end_)
-                    else List.filter pfn (Table.to_list t)
-              in
-              e.e_rows <- Some rows;
-              rows
-        in
-        run_rows.(i) <- Some rows;
-        rows
-  in
-  let hash_index i h_ci =
-    match run_hash.(i) with
-    | Some h -> h
-    | None ->
-        let e = entry_for i in
-        let h =
-          match e.e_hash with
-          | Some h -> h
-          | None ->
-              let h = Plan.hash_rows h_ci (scan_rows i) in
-              e.e_hash <- Some h;
-              h
-        in
-        run_hash.(i) <- Some h;
-        h
-  in
-  (* The first level probes its hash index once per run.  Outside
-     routines and subqueries a SELECT typically runs once per statement,
-     where building the index costs more than the scan it replaces: its
-     first run at a table version scans, and only a second run (a
-     top-level loop) builds the index. *)
   let top_level = env.Eval.frames = [] && !(env.Eval.depth) = 0 in
-  let use_hash i =
-    i > 0 || (not top_level) || Option.is_some run_hash.(i)
-    ||
-    let e = entry_for i in
-    Option.is_some e.e_hash || e.e_scanned || (e.e_scanned <- true; false)
-  in
-  let period_scan i =
-    match p.p_srcs.(i).s_period with
-    | None -> None
-    | Some pd -> (
-        let t = tabs.(i) in
-        let fold init pick adjust bounds =
-          List.fold_left
-            (fun acc b ->
-              match acc with
-              | None -> None
-              | Some v -> (
-                  match b.bd_e rt with
-                  | Value.Date d -> Some (pick v (adjust d b.bd_incl))
-                  | _ -> None))
-            (Some init) bounds
-        in
-        let u =
-          fold max_int min (fun d incl -> if incl then d + 1 else d) pd.pd_ubs
-        in
-        let l =
-          fold min_int max (fun d incl -> if incl then d - 1 else d) pd.pd_lbs
-        in
-        match (l, u) with
-        | Some l, Some u ->
-            let cands =
-              Table.overlapping t ~bi:pd.pd_bi ~ei:pd.pd_ei ~begin_:l ~end_:u
-            in
-            let nsat =
-              if Table.overlap_residuals t ~bi:pd.pd_bi ~ei:pd.pd_ei = 0 then
-                pd.pd_sat
-              else 0
-            in
-            if Trace.enabled obs then begin
-              let tname = Table.name t in
-              Trace.count obs "scan.indexed" 1;
-              Trace.count obs ("scan.indexed:" ^ tname) 1;
-              Trace.count obs "rows.probed" (List.length cands);
-              let bound d inf =
-                if d = min_int || d = max_int then inf else Date.to_string d
-              in
-              Trace.event obs "scan"
-                (Printf.sprintf
-                   "indexed table=%s window=(%s,%s) probes=%d elided=%d" tname
-                   (bound l "-inf") (bound u "+inf") (List.length cands) nsat)
-            end;
-            Some
-              ( (match tt_filter i with
-                | Some pfn -> List.filter pfn cands
-                | None -> cands),
-                nsat )
-        | _ ->
-            if Trace.enabled obs then begin
-              Trace.count obs "scan.residual_fallback" 1;
-              Trace.event obs "scan"
-                (Printf.sprintf "fallback table=%s (non-date bound)"
-                   (Table.name t))
-            end;
-            None)
-  in
-  if Trace.enabled obs && n > 0 then Trace.event obs "join" p.p_join_event;
-  let saved_frames = env.Eval.frames in
-  env.Eval.frames <- binds_list :: env.Eval.frames;
-  Fun.protect
-    ~finally:(fun () -> env.Eval.frames <- saved_frames)
-    (fun () ->
-      let grouped = p.p_grouped in
-      let snapshots = ref [] in
-      let flat_rows = ref [] in
-      let emit () =
-        Guard.charge_rows env.Eval.guard 1;
-        if grouped then
-          snapshots := Array.map (fun b -> b.Eval.b_row) binds :: !snapshots
-        else begin
-          let out = p.p_proj rt in
-          let keys = List.map (fun k -> k rt) p.p_keys in
-          flat_rows := Array.of_list (out @ keys) :: !flat_rows
-        end
-      in
-      let all_pass (checks : cexpr array) =
-        let m = Array.length checks in
-        let rec go j = j >= m || (Eval.truthy (checks.(j) rt) && go (j + 1)) in
-        go 0
-      in
-      let rec extend i =
-        if i = n then begin
-          if n = 0 then begin if all_pass p.p_const_checks then emit () end
-          else emit ()
-        end
-        else begin
-          let sr = p.p_srcs.(i) in
-          let b = binds.(i) in
-          let iterate rows checks =
-            List.iter
-              (fun row ->
-                b.Eval.b_row <- row;
-                if all_pass checks then begin
-                  Trace.count obs "rows.matched" 1;
-                  extend (i + 1)
-                end)
-              rows
+  (* Resolve source tables against the live database in source order; a
+     vanished table raises the interpreter's own resolution error (in
+     practice a drop bumps the plan token first).  Within one run the
+     row list and hash index are frozen at first use (a mid-run mutation
+     by a routine does not refresh them, exactly as the interpreter's
+     forced lazy stays forced), while across runs the entry revalidates
+     against the table's identity and version. *)
+  let source i (l : (string * Schema.t, _) Plan.level) =
+    let name, schema = l.Plan.data in
+    let t =
+      match Database.find_table env.Eval.cat.Catalog.db name with
+      | Some t -> t
+      | None -> Eval.sql_error "unknown table or view %s" name
+    in
+    let entry () =
+      match slots.(i) with
+      | Some e when e.e_table == t && e.e_version = t.Table.version -> e
+      | _ ->
+          let e =
+            {
+              e_table = t;
+              e_version = t.Table.version;
+              e_rows = None;
+              e_hash = None;
+              e_scanned = false;
+            }
           in
-          match sr.s_left_on with
-          | Some on ->
-              let matched = ref false in
-              let rows =
-                match period_scan i with
-                | Some (cands, _) -> cands
-                | None ->
-                    let rows = scan_rows i in
-                    if Trace.enabled obs then begin
-                      Trace.count obs "scan.full" 1;
-                      Trace.count obs "rows.probed" (List.length rows)
-                    end;
-                    rows
-              in
-              List.iter
-                (fun row ->
-                  b.Eval.b_row <- row;
-                  if Eval.truthy (on rt) then begin
-                    matched := true;
-                    if all_pass sr.s_checks then begin
-                      Trace.count obs "rows.matched" 1;
-                      extend (i + 1)
-                    end
-                  end)
-                rows;
-              if not !matched then begin
-                b.Eval.b_row <- Array.make (Array.length sr.s_cols) Value.Null;
-                if all_pass sr.s_checks then extend (i + 1)
-              end
-          | None -> (
-              let full_scan () =
-                let rows = scan_rows i in
-                if Trace.enabled obs then begin
-                  Trace.count obs "scan.full" 1;
-                  Trace.count obs ("scan.full:" ^ Table.name tabs.(i)) 1;
-                  Trace.count obs "rows.probed" (List.length rows)
-                end;
-                iterate rows sr.s_checks
-              in
-              match sr.s_hash with
-              | Some h when use_hash i ->
-                  let rows =
-                    let k = h.h_probe rt in
-                    if Value.is_null k then []
-                    else
-                      match Hashtbl.find_opt (hash_index i h.h_ci) k with
-                      | Some rs -> rs
-                      | None -> []
-                  in
-                  if Trace.enabled obs then begin
-                    Trace.count obs "scan.hash" 1;
-                    Trace.count obs "rows.probed" (List.length rows);
-                    Trace.count obs "conjuncts.elided" 1
-                  end;
-                  iterate rows h.h_checks
-              | Some _ -> full_scan ()
-              | None -> (
-                  match period_scan i with
-                  | Some (cands, nsat) ->
-                      let checks =
-                        if nsat > 0 then
-                          match sr.s_period with
-                          | Some pd -> pd.pd_checks_exact
-                          | None -> assert false
-                        else sr.s_checks
-                      in
-                      if Trace.enabled obs && nsat > 0 then
-                        Trace.count obs "conjuncts.elided" nsat;
-                      iterate cands checks
-                  | None -> full_scan ()))
-        end
-      in
-      extend 0;
-      if grouped then
-        Eval.finish_grouped env p.p_select binds_list (List.rev !snapshots)
-      else Eval.finish_flat env p.p_select (List.rev !flat_rows))
+          slots.(i) <- Some e;
+          e
+    in
+    let tt = Eval.tt_filter env schema in
+    let rows =
+      lazy
+        (let e = entry () in
+         match e.e_rows with
+         | Some rows -> rows
+         | None ->
+             let rows = Eval.tt_rows env t tt in
+             e.e_rows <- Some rows;
+             rows)
+    in
+    let index ci =
+      lazy
+        (let e = entry () in
+         match e.e_hash with
+         | Some h -> h
+         | None ->
+             let h = Plan.hash_rows ci (Lazy.force rows) in
+             e.e_hash <- Some h;
+             h)
+    in
+    (* The first level probes its hash index once per run.  Outside
+       routines and subqueries a SELECT typically runs once per
+       statement, where building the index costs more than the scan it
+       replaces: its first run at a table version scans, and only a
+       second run (a top-level loop) builds the index. *)
+    let probe_first () =
+      i > 0 || (not top_level)
+      ||
+      let e = entry () in
+      Option.is_some e.e_hash || e.e_scanned || (e.e_scanned <- true; false)
+    in
+    {
+      Eval.src_table = Some t;
+      src_tt = tt;
+      src_rows = (fun () -> Lazy.force rows);
+      src_index =
+        (match l.Plan.hash with
+        | Some h when probe_first () ->
+            Some (Eval.fixed_index (index h.Plan.h_ci))
+        | _ -> None);
+    }
+  in
+  Eval.run_plan env p.p_lowered (Array.mapi source levels)
 
 (* ------------------------------------------------------------------ *)
 (* The evaluator hook                                                  *)
@@ -812,7 +457,7 @@ let lookup_plan (env : Eval.env) (s : select) : cplan option =
 let select_hook (env : Eval.env) (s : select) : Result_set.t option =
   match lookup_plan env s with
   | None -> None
-  | Some p -> Some (run_plan (estate_of env) p env)
+  | Some p -> Some (run (estate_of env) p env)
 
 let install () = Eval.select_compiler := select_hook
 
@@ -837,33 +482,3 @@ let prewarm (cat : Catalog.t) (q : query) =
             Hashtbl.replace st.plans s (tok, p);
             Mutex.unlock st.mu)
     | _ -> ()
-
-(* ------------------------------------------------------------------ *)
-(* Compiled constant-period primitive                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The sort-adjacent step of the stratum's constant-period table
-   function, over a flat int array instead of a sorted-unique list:
-   points outside (bt, et) are dropped, duplicates collapse, and
-   consecutive points form the ascending [a, b) period rows.  Produces
-   exactly the interpreted variant's rows. *)
-let adjacent_periods ~(bt : Date.t) ~(et : Date.t) (points : Date.t list) :
-    Value.t array list =
-  if bt >= et then []
-  else begin
-    let inside = List.filter (fun d -> d > bt && d < et) points in
-    let arr = Array.make (List.length inside + 2) bt in
-    arr.(1) <- et;
-    List.iteri (fun i d -> arr.(i + 2) <- d) inside;
-    Array.sort Date.compare arr;
-    let rows = ref [] in
-    let prev = ref arr.(0) in
-    for i = 1 to Array.length arr - 1 do
-      let d = arr.(i) in
-      if d <> !prev then begin
-        rows := [| Value.Date !prev; Value.Date d |] :: !rows;
-        prev := d
-      end
-    done;
-    List.rev !rows
-  end

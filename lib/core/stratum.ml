@@ -35,6 +35,31 @@ let strategy_to_string = Strategy.to_string
 (* Engine-level natives                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The constant periods of [(bt, et)] cut at [points]: points outside
+   the open interval are dropped, duplicates collapse, and consecutive
+   distinct points of the sorted set, with [bt] and [et] as sentinels,
+   form the ascending [a, b) period rows. *)
+let adjacent_periods ~(bt : Date.t) ~(et : Date.t) (points : Date.t list) :
+    Value.t array list =
+  if bt >= et then []
+  else begin
+    let inside = List.filter (fun d -> d > bt && d < et) points in
+    let arr = Array.make (List.length inside + 2) bt in
+    arr.(1) <- et;
+    List.iteri (fun i d -> arr.(i + 2) <- d) inside;
+    Array.sort Date.compare arr;
+    let rows = ref [] in
+    let prev = ref arr.(0) in
+    for i = 1 to Array.length arr - 1 do
+      let d = arr.(i) in
+      if d <> !prev then begin
+        rows := [| Value.Date !prev; Value.Date d |] :: !rows;
+        prev := d
+      end
+    done;
+    List.rev !rows
+  end
+
 (* taupsm_constant_periods(points_table, bt, et): adjacent pairs of the
    sorted distinct values of the named table's first column, clipped to
    [bt, et).  The engine-level equivalent of the paper's Figure-8
@@ -63,26 +88,7 @@ let constant_periods_native : Catalog.native_table_fun =
                               "taupsm_constant_periods: non-date point %s"
                               (Value.to_string v))))
                 t;
-              let rows =
-                if cat.Catalog.options.Catalog.compile then
-                  (* Array-sort fast path; identical rows to the
-                     list-based variant below. *)
-                  Compile.adjacent_periods ~bt ~et !points
-                else begin
-                  let inside =
-                    List.filter (fun d -> d > bt && d < et) !points
-                  in
-                  let pts =
-                    List.sort_uniq Date.compare (bt :: et :: inside)
-                  in
-                  let rec pairs = function
-                    | a :: (b :: _ as rest) ->
-                        [| Value.Date a; Value.Date b |] :: pairs rest
-                    | [ _ ] | [] -> []
-                  in
-                  pairs pts
-                end
-              in
+              let rows = adjacent_periods ~bt ~et !points in
               List.iter (fun _ -> Fault.hit Fault.Period_slice) rows;
               let obs = cat.Catalog.obs in
               if Trace.enabled obs then begin
@@ -161,6 +167,20 @@ let install (e : Engine.t) =
     constant_periods_native;
   Catalog.add_native_table_fun cat Names.constant_periods_memo_fun
     constant_periods_memo_native
+
+(* The configuration a deployed engine runs with: the constant-period
+   memo on (the catalog default is off, so tests can use the plain
+   path as a reference) and the strategy choice resolved.  Auto turns
+   the adaptive chooser on and forces nothing; Force pins every
+   statement. *)
+let deploy (e : Engine.t) choice =
+  let o = (Engine.catalog e).Catalog.options in
+  o.Catalog.memoize_constant_periods <- true;
+  match choice with
+  | Strategy.Auto ->
+      o.Catalog.auto_strategy <- true;
+      None
+  | Strategy.Force s -> Some s
 
 (* ------------------------------------------------------------------ *)
 (* Transformation dispatch                                             *)

@@ -28,6 +28,24 @@ val install : Sqleval.Engine.t -> unit
     table function) into an engine.  Idempotent; performed implicitly by
     the [exec*] entry points. *)
 
+val deploy : Sqleval.Engine.t -> Strategy.choice -> strategy option
+(** Put an engine in the configuration the CLI's [run], [repl] and
+    [serve] deploy: the constant-period memo on, compilation and every
+    other option at the engine default, and the strategy choice
+    resolved.  [Auto] turns [Catalog.options.auto_strategy] on and
+    returns [None]; [Force s] returns [Some s] for the caller to pass
+    to {!exec}. *)
+
+val adjacent_periods :
+  bt:Sqldb.Date.t ->
+  et:Sqldb.Date.t ->
+  Sqldb.Date.t list ->
+  Sqldb.Value.t array list
+(** The constant-period primitive behind [taupsm_constant_periods]: the
+    date points inside [(bt, et)], with [bt] and [et] as sentinels,
+    sorted and deduplicated, paired into ascending
+    [[| Date a; Date b |]] rows; [[]] when [bt >= et]. *)
+
 exception Unsupported of string
 (** Alias of {!Max_slicing.Max_unsupported}. *)
 

@@ -117,7 +117,8 @@ and options = {
          (incrementally maintained under merge DML) instead of the
          per-statement taupsm_ts rebuild; changes the transformed plan's
          prep shape, so it IS part of the plan-cache fingerprint.  Off
-         by default — the CLI and benches opt in *)
+         by default — [Stratum.deploy] (the CLI's run/repl/serve) and
+         benches opt in *)
   mutable auto_strategy : bool;
       (* when no strategy is forced on a sequenced statement, let the
          stratum choose MAX vs PERST adaptively (§VII-F features, cost

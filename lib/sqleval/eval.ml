@@ -36,18 +36,6 @@ type binding = {
   mutable b_row : Value.t array;
 }
 
-(* A base-table FROM item.  Keeping the table handle (rather than an
-   eagerly materialized row list) lets the join loop route period-overlap
-   conjuncts through the table's interval index; [sc_rows] is the
-   conventional transaction-time-filtered full scan, forced only when no
-   index path applies, and [sc_tt_filter] is the exact transaction-time
-   predicate re-applied to index candidates. *)
-type scan = {
-  sc_table : Table.t;
-  sc_rows : Value.t array list Lazy.t;
-  sc_tt_filter : (Value.t array -> bool) option;
-}
-
 type cursor_state = {
   c_query : query;
   mutable c_rows : Result_set.t option;  (* Some once opened *)
@@ -364,6 +352,148 @@ let atomically env f =
 type exec_result = Rows of Result_set.t | Affected of int | Unit
 
 (* ------------------------------------------------------------------ *)
+(* Plan execution: lowered plans and row sources                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The context a lowered expression runs against: the live evaluation
+   environment (subqueries, PSM variables, guards) plus the run's own
+   row bindings, freshly allocated per run so re-entrant runs of one
+   plan (a routine in a projection re-running it) cannot clobber each
+   other's rows. *)
+type rt = { env : env; binds : binding array }
+
+type cexpr = rt -> Value.t
+
+(* A SELECT whose plan expressions, projection and ORDER BY keys are
+   lowered to closures: what {!run_plan} executes.  The interpreter
+   lowers every node to an {!eval_expr} call; the compiler (lib/compile)
+   to specialised closures, built once per plan token. *)
+type 'a lowered = {
+  lw_select : select;  (* for the distinct/sort/group tail *)
+  lw_plan : ('a, cexpr) Plan.t;
+  lw_grouped : bool;
+  lw_proj : rt -> Value.t list;
+  lw_keys : cexpr list;
+}
+
+(* Where one plan level's rows come from during one run.  [src_rows]
+   is every row of the source, re-evaluated on each entry of the level
+   for a lateral source.  [src_index], present only on a level the run
+   probes by its hash key, is called once per entry (a table function
+   evaluates its arguments there) and returns the lookup: each key's
+   rows in scan order.  [src_table] is set for base tables; the
+   executor queries its interval index for period windows and
+   re-applies [src_tt] (the transaction-time filter) to the
+   candidates. *)
+type source = {
+  src_table : Table.t option;
+  src_tt : (Value.t array -> bool) option;
+  src_rows : unit -> Value.t array list;
+  src_index : (unit -> Value.t -> Value.t array list) option;
+}
+
+(* The [src_index] of a source whose rows are fixed for the run: one
+   hash index, forced at the first probe. *)
+let fixed_index (index : (Value.t, Value.t array list) Hashtbl.t Lazy.t) =
+  let find k =
+    Option.value ~default:[] (Hashtbl.find_opt (Lazy.force index) k)
+  in
+  fun () -> find
+
+(* Transaction time is system-enforced at the scan: the exact predicate
+   of [env]'s reading mode over a transaction-time table, if any. *)
+let tt_filter env (schema : Schema.t) =
+  if not schema.Schema.transaction then None
+  else
+    let bi = Schema.tt_begin_index schema and ei = Schema.tt_end_index schema in
+    match env.tt_mode with
+    | `All -> None
+    | `Current ->
+        Some
+          (fun (r : Value.t array) -> Value.to_date_exn r.(ei) = Date.forever)
+    | `Asof d ->
+        Some
+          (fun (r : Value.t array) ->
+            Value.to_date_exn r.(bi) <= d && d < Value.to_date_exn r.(ei))
+
+(* The rows of [t] that pass [filter].  With the interval index on, the
+   AS OF / current filters become stabbing queries on (tt_begin,
+   tt_end); candidates are still re-checked by the exact predicate, so
+   the rows match the filtered full scan. *)
+let tt_rows env t filter =
+  match filter with
+  | None -> Table.to_list t
+  | Some p ->
+      if env.cat.Catalog.options.Catalog.temporal_index then
+        let schema = Table.schema t in
+        let begin_, end_ =
+          match env.tt_mode with
+          | `Asof d -> (d, d + 1)
+          | _ -> (Date.forever - 1, max_int)
+        in
+        List.filter p
+          (Table.overlapping t ~bi:(Schema.tt_begin_index schema)
+             ~ei:(Schema.tt_end_index schema) ~begin_ ~end_)
+      else List.filter p (Table.to_list t)
+
+let fold_has_agg e =
+  let rec go = function
+    | Agg _ -> true
+    | Lit _ | Col _ -> false
+    | Binop (_, a, b) -> go a || go b
+    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> go a
+    | Fun_call (_, args) -> List.exists go args
+    | Case c ->
+        (match c.case_operand with Some e -> go e | None -> false)
+        || List.exists (fun (w, t) -> go w || go t) c.case_branches
+        || (match c.case_else with Some e -> go e | None -> false)
+    | Exists _ | Scalar_subquery _ -> false
+    | In_pred (e, In_list es, _) -> go e || List.exists go es
+    | In_pred (e, In_query _, _) -> go e
+    | Between (a, b, c, _) -> go a || go b || go c
+    | Like (a, b, _) -> go a || go b
+  in
+  go e
+
+(* Lower [plan], the plan of [s], and [s]'s projection and ORDER BY keys
+   with [f]. *)
+let lower (f : expr -> cexpr) (s : select) (plan : ('a, expr) Plan.t) :
+    'a lowered =
+  let levels = plan.Plan.levels in
+  let proj_item = function
+    | Star ->
+        fun rt ->
+          Array.fold_right
+            (fun b acc -> Array.to_list b.b_row @ acc)
+            rt.binds []
+    | Qual_star q -> (
+        let lq = String.lowercase_ascii q in
+        let rec find k =
+          if k >= Array.length levels then None
+          else if levels.(k).Plan.alias = lq then Some k
+          else find (k + 1)
+        in
+        match find 0 with
+        | Some k -> fun rt -> Array.to_list rt.binds.(k).b_row
+        | None -> fun _ -> sql_error "unknown alias %s.*" q)
+    | Proj_expr (e, _) ->
+        let c = f e in
+        fun rt -> [ c rt ]
+  in
+  let proj = List.map proj_item s.proj in
+  {
+    lw_select = s;
+    lw_plan = Plan.map f plan;
+    lw_grouped =
+      s.group_by <> [] || s.having <> None
+      || List.exists
+           (function Proj_expr (e, _) -> fold_has_agg e | _ -> false)
+           s.proj;
+    lw_proj = (fun rt -> List.concat_map (fun p -> p rt) proj);
+    lw_keys = List.map (fun (e, _) -> f e) s.order_by;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Plan-compilation hook                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -633,27 +763,35 @@ and dedupe_rows rows =
       end)
     rows
 
-(* Resolve a FROM item into (alias, columns, row source).
+(* Resolve a FROM item for the planner: (alias, columns, kind, and the
+   level's row source for one evaluation, given the hash column if the
+   plan probes it).
 
    A derived table (or view) whose query references a sibling FROM item
    cannot be materialized up front; when its evaluation fails on an
-   unknown column we defer it to join time (`Lateral_sub`), giving it
+   unknown column we defer it to join time ([Plan.Per_row]), giving it
    quasi-LATERAL semantics.  Genuine unknown-column errors re-raise
    identically during the join. *)
 and eval_table_ref env (tr : table_ref) :
-    string
-    * string array
-    * [ `Rows of Value.t array list
-      | `Scan of scan
-      | `Lateral of expr list * string
-      | `Lateral_sub of query ]
-    =
+    string * string array * Plan.kind * (int option -> source) =
+  let rows_source rows ci =
+    {
+      src_table = None;
+      src_tt = None;
+      src_rows = rows;
+      src_index =
+        Option.map
+          (fun ci -> fixed_index (lazy (Plan.hash_rows ci (rows ()))))
+          ci;
+    }
+  in
   let try_materialize alias q =
     match eval_query env q with
     | rs ->
         ( alias,
           Array.of_list (List.map String.lowercase_ascii rs.Result_set.cols),
-          `Rows rs.Result_set.rows )
+          Plan.Rows,
+          rows_source (fun () -> rs.Result_set.rows) )
     | exception Sql_error msg
       when String.length msg >= 14 && String.sub msg 0 14 = "unknown column" ->
         (* Column names must still be known up front: take them from a
@@ -661,7 +799,8 @@ and eval_table_ref env (tr : table_ref) :
            derive them from the query's projection. *)
         ( alias,
           Array.of_list (List.map String.lowercase_ascii (query_columns env q)),
-          `Lateral_sub q )
+          Plan.Per_row,
+          rows_source (fun () -> (eval_query env q).Result_set.rows) )
   in
   match tr with
   | Tref (name, alias) -> (
@@ -675,56 +814,29 @@ and eval_table_ref env (tr : table_ref) :
                  (fun c -> String.lowercase_ascii c.Schema.col_name)
                  schema.Schema.columns)
           in
-          (* Transaction-time filtering is system-enforced at the scan.
-             When the interval index is enabled, the AS OF / CURRENT
-             filters become stabbing queries on the (tt_begin, tt_end)
-             pair; candidates are still re-checked by the exact
-             predicate, so results match the filtered full scan. *)
-          let tt_filter =
-            if not schema.Schema.transaction then None
-            else
-              let bi = Schema.tt_begin_index schema
-              and ei = Schema.tt_end_index schema in
-              match env.tt_mode with
-              | `All -> None
-              | `Current ->
-                  Some
-                    (fun (r : Value.t array) ->
-                      Value.to_date_exn r.(ei) = Date.forever)
-              | `Asof d ->
-                  Some
-                    (fun (r : Value.t array) ->
-                      Value.to_date_exn r.(bi) <= d
-                      && d < Value.to_date_exn r.(ei))
-          in
-          let sc_rows =
-            lazy
-              (match tt_filter with
-              | None -> Table.to_list t
-              | Some p ->
-                  if env.cat.Catalog.options.Catalog.temporal_index then
-                    let bi = Schema.tt_begin_index schema
-                    and ei = Schema.tt_end_index schema in
-                    let begin_, end_ =
-                      match env.tt_mode with
-                      | `Asof d -> (d, d + 1)
-                      | _ -> (Date.forever - 1, max_int)
-                    in
-                    List.filter p (Table.overlapping t ~bi ~ei ~begin_ ~end_)
-                  else List.filter p (Table.to_list t))
-          in
-          (alias, cols, `Scan { sc_table = t; sc_rows; sc_tt_filter = tt_filter })
+          let tt = tt_filter env schema in
+          let rows = lazy (tt_rows env t tt) in
+          ( alias,
+            cols,
+            Plan.Table schema,
+            fun ci ->
+              {
+                (rows_source (fun () -> Lazy.force rows) ci) with
+                src_table = Some t;
+                src_tt = tt;
+              } )
       | None -> (
           match Catalog.find_view env.cat name with
           | Some q -> try_materialize alias q
           | None -> sql_error "unknown table or view %s" name))
   | Tsub (q, alias) -> try_materialize alias q
   | Tjoin _ ->
-      (* Joins are flattened by eval_select before sources are resolved. *)
+      (* Joins are flattened by the planner before sources are resolved. *)
       assert false
   | Tfun (fname, args, alias) ->
+      let native = Catalog.find_native_table_fun env.cat fname in
       let cols =
-        match Catalog.find_native_table_fun env.cat fname with
+        match native with
         | Some ntf ->
             Array.of_list (List.map String.lowercase_ascii ntf.Catalog.ntf_cols)
         | None -> (
@@ -735,7 +847,39 @@ and eval_table_ref env (tr : table_ref) :
             | Some _ -> sql_error "%s is not a table function" fname
             | None -> sql_error "unknown table function %s" fname)
       in
-      (alias, cols, `Lateral (args, fname))
+      let call () =
+        let argv = List.map (eval_expr env) args in
+        if List.exists Value.is_null argv then (argv, [])
+        else (argv, (invoke_table_function env fname argv).Result_set.rows)
+      in
+      (* A memoized function's rows are fixed per argument vector, so its
+         hash index is built once per vector and evaluation; the rows
+         are compared physically, so a memo entry recomputed after
+         mid-statement DDL gets a new index. *)
+      let index ci =
+        let indexes = Hashtbl.create 8 in
+        fun () ->
+          let argv, rows = call () in
+          fixed_index
+            (lazy
+              (match Hashtbl.find_opt indexes argv with
+              | Some (rows', h) when rows' == rows -> h
+              | _ ->
+                  let h = Plan.hash_rows ci rows in
+                  Hashtbl.replace indexes argv (rows, h);
+                  h))
+            ()
+      in
+      ( alias,
+        cols,
+        Plan.Tfun
+          (env.cat.Catalog.options.Catalog.memoize_table_functions
+          && native = None),
+        fun ci ->
+          {
+            (rows_source (fun () -> snd (call ())) None) with
+            src_index = Option.map index ci;
+          } )
 
 (* The output column names of a query, statically (used when a lateral
    derived table cannot be materialized up front).  Star projections of
@@ -811,297 +955,234 @@ and eval_select env (s : select) : Result_set.t =
         eval_select_interp env s
 
 and eval_select_interp env (s : select) : Result_set.t =
-  let opts = env.cat.Catalog.options in
   let plan =
-    try
-      Plan.plan opts s (fun tr ->
-          let alias, cols, src = eval_table_ref env tr in
-          let kind =
-            match src with
-            | `Scan sc -> Plan.Table (Table.schema sc.sc_table)
-            | `Rows _ -> Plan.Rows
-            | `Lateral (_, fname) ->
-                Plan.Tfun
-                  (opts.Catalog.memoize_table_functions
-                  && Catalog.find_native_table_fun env.cat fname = None)
-            | `Lateral_sub _ -> Plan.Per_row
-          in
-          (alias, cols, kind, src))
+    try Plan.plan env.cat.Catalog.options s (eval_table_ref env)
     with Plan.Unsupported msg -> sql_error "%s" msg
   in
+  run_plan env
+    (lower (fun e rt -> eval_expr rt.env e) s plan)
+    (Array.map
+       (fun (l : _ Plan.level) ->
+         l.Plan.data
+           (Option.map (fun (h : _ Plan.hash) -> h.Plan.h_ci) l.Plan.hash))
+       plan.Plan.levels)
+
+(* The SELECT executor, the one place a plan is run, for both
+   evaluators: a nested loop over the plan's levels in FROM order, with
+   each level's access path, then the distinct/sort/group tail.  A
+   level reads its rows from [srcs] (the caller decides where they come
+   from and whether the hash key is probed); everything else — period
+   windows and the conjuncts they elide, hash probes, full-scan
+   fallback, LEFT JOIN null-extension, trace counters and guard
+   charges — happens here. *)
+and run_plan : 'a. env -> 'a lowered -> source array -> Result_set.t =
+ fun env lw srcs ->
+  let plan = lw.lw_plan in
   let levels = plan.Plan.levels in
   let n = Array.length levels in
-  let bindings_arr =
+  let obs = env.cat.Catalog.obs in
+  let binds =
     Array.map
       (fun (l : _ Plan.level) ->
         { b_alias = l.Plan.alias; b_cols = l.Plan.cols; b_row = [||] })
       levels
   in
-  let bindings = Array.to_list bindings_arr in
-  let obs = env.cat.Catalog.obs in
-  if Trace.enabled obs && n > 0 then
-    Trace.event obs "join" (Plan.join_event plan);
-  (* Hash indexes, built lazily once per SELECT evaluation and keyed by
-     level and table-function argument vector ([] for other sources).
-     The rows are checked physically, so a memo entry recomputed after
-     mid-statement DDL gets a new index. *)
-  let indexes = Hashtbl.create 8 in
-  let get_index i ci argv rows =
-    match Hashtbl.find_opt indexes (i, argv) with
-    | Some (rows', h) when rows' == rows -> h
-    | _ ->
-        let h = Plan.hash_rows ci rows in
-        Hashtbl.replace indexes (i, argv) (rows, h);
-        h
+  let binds_list = Array.to_list binds in
+  let rt = { env; binds } in
+  let rec all_pass = function
+    | [] -> true
+    | c :: cs -> truthy (c rt) && all_pass cs
   in
-  (* Run level i's period plan, if any: evaluate the bound expressions
-     (declining unless every one yields a DATE) and query the interval
-     index.  Candidates come back in scan order, so downstream results
-     are indistinguishable from a full scan.  The second component is
-     how many conjuncts the window already enforces exactly (b < min u_i
+  (* Run level i's period window: evaluate the bounds (declining unless
+     every one yields a DATE) and query the interval index.  Candidates
+     come back in scan order, so downstream results are
+     indistinguishable from a full scan.  The second component is how
+     many conjuncts the window already enforces exactly (b < min u_i
      implies every upper conjunct, e > max l_i every lower one) — valid
      only when the index has no residual rows, since residuals are
      returned unchecked. *)
-  let period_scan i =
-    match (levels.(i).Plan.period, levels.(i).Plan.data) with
-    | Some pd, `Scan sc -> (
-        let fold init pick adjust bounds =
-          List.fold_left
-            (fun acc (b : Plan.bound) ->
-              match acc with
-              | None -> None
-              | Some v -> (
-                  match eval_expr env b.Plan.bound with
-                  | Value.Date d -> Some (pick v (adjust d b.Plan.incl))
-                  | _ -> None))
-            (Some init) bounds
+  let period_scan i (pd : cexpr Plan.period) =
+    let src = srcs.(i) in
+    let t = Option.get src.src_table in
+    let fold init pick adjust bounds =
+      List.fold_left
+        (fun acc (b : cexpr Plan.bound) ->
+          match acc with
+          | None -> None
+          | Some v -> (
+              match b.Plan.bound rt with
+              | Value.Date d -> Some (pick v (adjust d b.Plan.incl))
+              | _ -> None))
+        (Some init) bounds
+    in
+    let u =
+      fold max_int min (fun d incl -> if incl then d + 1 else d) pd.Plan.pd_ubs
+    in
+    let l =
+      fold min_int max (fun d incl -> if incl then d - 1 else d) pd.Plan.pd_lbs
+    in
+    let bi = pd.Plan.pd_bi and ei = pd.Plan.pd_ei in
+    match (l, u) with
+    | Some l, Some u ->
+        let cands = Table.overlapping t ~bi ~ei ~begin_:l ~end_:u in
+        let nsat =
+          if Table.overlap_residuals t ~bi ~ei = 0 then pd.Plan.pd_nsat else 0
         in
-        let u =
-          fold max_int min
-            (fun d incl -> if incl then d + 1 else d)
-            pd.Plan.pd_ubs
-        in
-        let l =
-          fold min_int max
-            (fun d incl -> if incl then d - 1 else d)
-            pd.Plan.pd_lbs
-        in
-        let bi = pd.Plan.pd_bi and ei = pd.Plan.pd_ei in
-        match (l, u) with
-        | Some l, Some u ->
-            let cands =
-              Table.overlapping sc.sc_table ~bi ~ei ~begin_:l ~end_:u
-            in
-            let nsat =
-              if Table.overlap_residuals sc.sc_table ~bi ~ei = 0 then
-                pd.Plan.pd_nsat
-              else 0
-            in
-            if Trace.enabled obs then begin
-              let tname = Table.name sc.sc_table in
-              Trace.count obs "scan.indexed" 1;
-              Trace.count obs ("scan.indexed:" ^ tname) 1;
-              Trace.count obs "rows.probed" (List.length cands);
-              let bound d inf =
-                if d = min_int || d = max_int then inf else Date.to_string d
-              in
-              Trace.event obs "scan"
-                (Printf.sprintf
-                   "indexed table=%s window=(%s,%s) probes=%d elided=%d" tname
-                   (bound l "-inf") (bound u "+inf") (List.length cands) nsat)
-            end;
-            Some
-              ( (match sc.sc_tt_filter with
-                | Some p -> List.filter p cands
-                | None -> cands),
-                nsat )
-        | _ ->
-            (* A bound did not evaluate to a DATE: fall back to the full
-               scan rather than trust the window. *)
-            if Trace.enabled obs then begin
-              Trace.count obs "scan.residual_fallback" 1;
-              Trace.event obs "scan"
-                (Printf.sprintf "fallback table=%s (non-date bound)"
-                   (Table.name sc.sc_table))
-            end;
-            None)
-    | _ -> None
+        if Trace.enabled obs then begin
+          let tname = Table.name t in
+          Trace.count obs "scan.indexed" 1;
+          Trace.count obs ("scan.indexed:" ^ tname) 1;
+          Trace.count obs "rows.probed" (List.length cands);
+          let bound d inf =
+            if d = min_int || d = max_int then inf else Date.to_string d
+          in
+          Trace.event obs "scan"
+            (Printf.sprintf
+               "indexed table=%s window=(%s,%s) probes=%d elided=%d" tname
+               (bound l "-inf") (bound u "+inf") (List.length cands) nsat)
+        end;
+        Some
+          ( (match src.src_tt with
+            | Some p -> List.filter p cands
+            | None -> cands),
+            nsat )
+    | _ ->
+        (* A bound did not evaluate to a DATE: fall back to the full scan
+           rather than trust the window. *)
+        if Trace.enabled obs then begin
+          Trace.count obs "scan.residual_fallback" 1;
+          Trace.event obs "scan"
+            (Printf.sprintf "fallback table=%s (non-date bound)" (Table.name t))
+        end;
+        None
   in
+  let snapshots = ref [] in
+  let flat_rows = ref [] in
+  let emit () =
+    Guard.charge_rows env.guard 1;
+    if lw.lw_grouped then
+      (* Snapshot the joined row for later grouping. *)
+      snapshots := Array.map (fun b -> b.b_row) binds :: !snapshots
+    else begin
+      let out = lw.lw_proj rt in
+      let keys = List.map (fun k -> k rt) lw.lw_keys in
+      flat_rows := Array.of_list (out @ keys) :: !flat_rows
+    end
+  in
+  let rec extend i =
+    if i = n then begin
+      (* A SELECT without FROM checks its constant conjuncts here. *)
+      if n > 0 || all_pass plan.Plan.consts then emit ()
+    end
+    else begin
+      let l = levels.(i) and src = srcs.(i) and b = binds.(i) in
+      let window () = Option.bind l.Plan.period (period_scan i) in
+      match l.Plan.left_on with
+      | Some on ->
+          (* LEFT JOIN: the ON condition selects matches; when none
+             match, the right side is null-extended (WHERE-level
+             conjuncts then apply to the extended row).  The ON
+             condition is evaluated whole, so the window's satisfied
+             conjuncts cannot be elided here. *)
+          let rows =
+            match window () with
+            | Some (cands, _) -> cands
+            | None ->
+                let rows = src.src_rows () in
+                if Trace.enabled obs then begin
+                  Trace.count obs "scan.full" 1;
+                  Trace.count obs "rows.probed" (List.length rows)
+                end;
+                rows
+          in
+          let matched = ref false in
+          List.iter
+            (fun row ->
+              b.b_row <- row;
+              if truthy (on rt) then begin
+                matched := true;
+                if all_pass l.Plan.checks then begin
+                  Trace.count obs "rows.matched" 1;
+                  extend (i + 1)
+                end
+              end)
+            rows;
+          if not !matched then begin
+            b.b_row <- Array.make (Array.length b.b_cols) Value.Null;
+            if all_pass l.Plan.checks then extend (i + 1)
+          end
+      | None ->
+          (* Each access path also names the conjuncts left to check: the
+             hash lookup enforces its equality, an exact interval-index
+             window its comparisons. *)
+          let full_scan () =
+            let rows = src.src_rows () in
+            if Trace.enabled obs then begin
+              let name =
+                match src.src_table with
+                | Some t -> Table.name t
+                | None -> l.Plan.alias
+              in
+              Trace.count obs "scan.full" 1;
+              Trace.count obs ("scan.full:" ^ name) 1;
+              Trace.count obs "rows.probed" (List.length rows)
+            end;
+            (rows, l.Plan.checks)
+          in
+          let rows, checks =
+            match (l.Plan.hash, src.src_index, l.Plan.kind) with
+            | Some h, Some index, _ ->
+                let find = index () in
+                let k = h.Plan.h_probe rt in
+                let rows = if Value.is_null k then [] else find k in
+                if Trace.enabled obs then begin
+                  Trace.count obs "scan.hash" 1;
+                  Trace.count obs "rows.probed" (List.length rows);
+                  Trace.count obs "conjuncts.elided" 1
+                end;
+                (rows, h.Plan.h_checks)
+            | _, _, (Plan.Tfun _ | Plan.Per_row) ->
+                let rows = src.src_rows () in
+                if Trace.enabled obs then begin
+                  Trace.count obs "scan.lateral" 1;
+                  Trace.count obs "rows.probed" (List.length rows)
+                end;
+                (rows, l.Plan.checks)
+            | Some _, None, _ ->
+                (* the source declined the probe (the compiler's
+                   first-level rule): scan instead of building an index *)
+                full_scan ()
+            | None, _, _ -> (
+                match (window (), l.Plan.period) with
+                | Some (cands, nsat), Some pd when nsat > 0 ->
+                    if Trace.enabled obs then
+                      Trace.count obs "conjuncts.elided" nsat;
+                    (cands, pd.Plan.pd_checks_exact)
+                | Some (cands, _), _ -> (cands, l.Plan.checks)
+                | None, _ -> full_scan ())
+          in
+          List.iter
+            (fun row ->
+              b.b_row <- row;
+              if all_pass checks then begin
+                Trace.count obs "rows.matched" 1;
+                extend (i + 1)
+              end)
+            rows
+    end
+  in
+  if Trace.enabled obs && n > 0 then
+    Trace.event obs "join" (Plan.join_event lw.lw_plan);
   (* Push the new frame for this SELECT. *)
   let saved_frames = env.frames in
-  env.frames <- bindings :: env.frames;
+  env.frames <- binds_list :: env.frames;
   Fun.protect
     ~finally:(fun () -> env.frames <- saved_frames)
     (fun () ->
-      let grouped =
-        s.group_by <> [] || s.having <> None
-        || List.exists
-             (function
-               | Proj_expr (e, _) ->
-                   fold_has_agg e
-               | _ -> false)
-             s.proj
-      in
-      let snapshots = ref [] in
-      let flat_rows = ref [] in
-      let emit () =
-        Guard.charge_rows env.guard 1;
-        if grouped then
-          (* Snapshot the joined row for later grouping. *)
-          snapshots := Array.map (fun b -> b.b_row) bindings_arr :: !snapshots
-        else begin
-          let out = eval_projection env s bindings in
-          let keys =
-            List.map (fun (e, _) -> eval_order_key env s bindings e) s.order_by
-          in
-          flat_rows := Array.of_list (out @ keys) :: !flat_rows
-        end
-      in
-      let all_pass checks =
-        List.for_all (fun c -> truthy (eval_expr env c)) checks
-      in
-      let rec extend i =
-        if i = n then begin
-          (* A SELECT without FROM checks its constant conjuncts here. *)
-          if n = 0 then begin if all_pass plan.Plan.consts then emit () end
-          else emit ()
-        end
-        else begin
-          let l = levels.(i) in
-          let b = bindings_arr.(i) in
-          let lateral_rows args fname =
-            let argv = List.map (eval_expr env) args in
-            if List.exists Value.is_null argv then (argv, [])
-            else (argv, (invoke_table_function env fname argv).Result_set.rows)
-          in
-          let all_rows () =
-            match l.Plan.data with
-            | `Rows rows -> rows
-            | `Scan sc -> Lazy.force sc.sc_rows
-            | `Lateral (args, fname) -> snd (lateral_rows args fname)
-            | `Lateral_sub q -> (eval_query env q).Result_set.rows
-          in
-          match l.Plan.left_on with
-          | Some on ->
-              (* LEFT JOIN: the ON condition selects matches; when none
-                 match, the right side is null-extended (WHERE-level
-                 conjuncts then apply to the extended row). *)
-              let matched = ref false in
-              (* The ON condition is evaluated whole, so the window's
-                 satisfied conjuncts cannot be elided here. *)
-              let rows =
-                match period_scan i with
-                | Some (cands, _) -> cands
-                | None ->
-                    let rows = all_rows () in
-                    if Trace.enabled obs then begin
-                      Trace.count obs "scan.full" 1;
-                      Trace.count obs "rows.probed" (List.length rows)
-                    end;
-                    rows
-              in
-              List.iter
-                (fun row ->
-                  b.b_row <- row;
-                  if truthy (eval_expr env on) then begin
-                    matched := true;
-                    if all_pass l.Plan.checks then begin
-                      Trace.count obs "rows.matched" 1;
-                      extend (i + 1)
-                    end
-                  end)
-                rows;
-              if not !matched then begin
-                b.b_row <- Array.make (Array.length b.b_cols) Value.Null;
-                if all_pass l.Plan.checks then extend (i + 1)
-              end
-          | None ->
-              (* Each access path also names the conjuncts left to check:
-                 the hash lookup enforces its equality, an exact
-                 interval-index window its comparisons. *)
-              let candidate_rows, checks =
-                match (l.Plan.hash, l.Plan.data) with
-                | Some h, src ->
-                    let index =
-                      match src with
-                      | `Lateral (args, fname) ->
-                          let argv, rows = lateral_rows args fname in
-                          lazy (get_index i h.Plan.h_ci argv rows)
-                      | _ -> lazy (get_index i h.Plan.h_ci [] (all_rows ()))
-                    in
-                    let rows =
-                      let k = eval_expr env h.Plan.h_probe in
-                      if Value.is_null k then []
-                      else
-                        Option.value ~default:[]
-                          (Hashtbl.find_opt (Lazy.force index) k)
-                    in
-                    if Trace.enabled obs then begin
-                      Trace.count obs "scan.hash" 1;
-                      Trace.count obs "rows.probed" (List.length rows);
-                      Trace.count obs "conjuncts.elided" 1
-                    end;
-                    (rows, h.Plan.h_checks)
-                | None, (`Lateral _ | `Lateral_sub _) ->
-                    let rows = all_rows () in
-                    if Trace.enabled obs then begin
-                      Trace.count obs "scan.lateral" 1;
-                      Trace.count obs "rows.probed" (List.length rows)
-                    end;
-                    (rows, l.Plan.checks)
-                | None, src -> (
-                    match (period_scan i, l.Plan.period) with
-                    | Some (cands, nsat), Some pd when nsat > 0 ->
-                        if Trace.enabled obs then
-                          Trace.count obs "conjuncts.elided" nsat;
-                        (cands, pd.Plan.pd_checks_exact)
-                    | Some (cands, _), _ -> (cands, l.Plan.checks)
-                    | None, _ ->
-                        let rows = all_rows () in
-                        if Trace.enabled obs then begin
-                          let tname =
-                            match src with
-                            | `Scan sc -> Table.name sc.sc_table
-                            | _ -> b.b_alias
-                          in
-                          Trace.count obs "scan.full" 1;
-                          Trace.count obs ("scan.full:" ^ tname) 1;
-                          Trace.count obs "rows.probed" (List.length rows)
-                        end;
-                        (rows, l.Plan.checks))
-              in
-              List.iter
-                (fun row ->
-                  b.b_row <- row;
-                  if all_pass checks then begin
-                    Trace.count obs "rows.matched" 1;
-                    extend (i + 1)
-                  end)
-                candidate_rows
-        end
-      in
       extend 0;
-      if grouped then finish_grouped env s bindings (List.rev !snapshots)
-      else finish_flat env s (List.rev !flat_rows))
-
-and fold_has_agg e =
-  let rec go = function
-    | Agg _ -> true
-    | Lit _ | Col _ -> false
-    | Binop (_, a, b) -> go a || go b
-    | Unop (_, a) | Cast (a, _) | Is_null (a, _) -> go a
-    | Fun_call (_, args) -> List.exists go args
-    | Case c ->
-        (match c.case_operand with Some e -> go e | None -> false)
-        || List.exists (fun (w, t) -> go w || go t) c.case_branches
-        || (match c.case_else with Some e -> go e | None -> false)
-    | Exists _ | Scalar_subquery _ -> false
-    | In_pred (e, In_list es, _) -> go e || List.exists go es
-    | In_pred (e, In_query _, _) -> go e
-    | Between (a, b, c, _) -> go a || go b || go c
-    | Like (a, b, _) -> go a || go b
-  in
-  go e
+      if lw.lw_grouped then
+        finish_grouped env lw.lw_select binds_list (List.rev !snapshots)
+      else finish_flat env lw.lw_select (List.rev !flat_rows))
 
 (* Output column names for a projection. *)
 and projection_columns env s (bindings : binding list) =
@@ -1125,26 +1206,6 @@ and projection_columns env s (bindings : binding list) =
   |> fun cols ->
   ignore env;
   cols
-
-(* Evaluate the projection against the currently-bound rows. *)
-and eval_projection env s (bindings : binding list) : Value.t list =
-  List.concat_map
-    (function
-      | Star -> List.concat_map (fun b -> Array.to_list b.b_row) bindings
-      | Qual_star q -> (
-          let lq = String.lowercase_ascii q in
-          match List.find_opt (fun b -> b.b_alias = lq) bindings with
-          | Some b -> Array.to_list b.b_row
-          | None -> sql_error "unknown alias %s.*" q)
-      | Proj_expr (e, _) -> [ eval_expr env e ])
-    s.proj
-
-and eval_order_key env s bindings e =
-  (* An ORDER BY item that names a projection alias refers to the output;
-     anything else is evaluated in the row context. *)
-  ignore s;
-  ignore bindings;
-  eval_expr env e
 
 and finish_flat env (s : select) rows_with_keys : Result_set.t =
   let nkeys = List.length s.order_by in

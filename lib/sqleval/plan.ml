@@ -1,7 +1,9 @@
 (* The access-path planner: one analysis of a SELECT's FROM and WHERE,
-   consumed by both the interpreter ({!Eval.eval_select_interp}) and the
-   closure compiler (lib/compile), so the two evaluators share join
-   order, conjunct placement and access paths by construction.
+   consumed by both evaluators, so the interpreter and the closure
+   compiler (lib/compile) share join order, conjunct placement and
+   access paths by construction.  Each evaluator lowers the plan's
+   expressions into closures ({!map}) and hands it to the one executor,
+   {!Eval.run_plan}.
 
    Joins are evaluated as nested loops in FROM order.  Per level the
    planner decides:
@@ -39,38 +41,40 @@ type kind =
 
 (* An interval-index window bound: begin_time < u (upper) or
    end_time > l (lower); inclusive comparisons widen by one day. *)
-type bound = { bound : expr; incl : bool }
+type 'e bound = { bound : 'e; incl : bool }
 
-type period = {
+(* The plan's expressions have type ['e]: {!plan} yields [expr]s, which
+   an evaluator lowers into closures with {!map}. *)
+type 'e period = {
   pd_bi : int;
   pd_ei : int;
-  pd_ubs : bound list;
-  pd_lbs : bound list;
+  pd_ubs : 'e bound list;
+  pd_lbs : 'e bound list;
   pd_nsat : int;  (* conjuncts the window implies when the index is exact *)
-  pd_checks_exact : expr list;  (* level checks minus the implied ones *)
+  pd_checks_exact : 'e list;  (* level checks minus the implied ones *)
 }
 
-type hash = {
+type 'e hash = {
   h_col : string;
   h_ci : int;  (* hashed column offset in the source's rows *)
-  h_probe : expr;
-  h_checks : expr list;  (* level checks minus the hash equality *)
+  h_probe : 'e;
+  h_checks : 'e list;  (* level checks minus the hash equality *)
 }
 
-type 'a level = {
+type ('a, 'e) level = {
   alias : string;  (* lowercase *)
   cols : string array;  (* lowercase *)
   kind : kind;
   data : 'a;  (* the resolver's handle on the source *)
-  left_on : expr option;  (* LEFT JOIN condition; None for inner sources *)
-  checks : expr list;  (* this level's conjuncts, cheap first *)
-  hash : hash option;  (* inner joins under options.hash_joins only *)
-  period : period option;  (* temporal tables under options.temporal_index *)
+  left_on : 'e option;  (* LEFT JOIN condition; None for inner sources *)
+  checks : 'e list;  (* this level's conjuncts, cheap first *)
+  hash : 'e hash option;  (* inner joins under options.hash_joins only *)
+  period : 'e period option;  (* temporal tables under options.temporal_index *)
 }
 
-type 'a t = {
-  levels : 'a level array;
-  consts : expr list;  (* the conjuncts of a SELECT with no FROM *)
+type ('a, 'e) t = {
+  levels : ('a, 'e) level array;
+  consts : 'e list;  (* the conjuncts of a SELECT with no FROM *)
 }
 
 let lc = String.lowercase_ascii
@@ -149,7 +153,7 @@ let hash_rows ci (rows : Value.t array list) =
    (alias, lowercase columns, kind, handle); it may raise [Unsupported]
    for shapes its evaluator does not cover. *)
 let plan (o : Catalog.options) (s : select)
-    (resolve : table_ref -> string * string array * kind * 'a) : 'a t =
+    (resolve : table_ref -> string * string array * kind * 'a) : ('a, expr) t =
   let flat_from, join_conjuncts =
     List.fold_left
       (fun (us, cs) tr ->
@@ -389,3 +393,30 @@ let join_event p =
   "order="
   ^ String.concat ","
       (Array.to_list (Array.map (fun l -> l.alias ^ ":" ^ path l) p.levels))
+
+(* Lower every expression of a plan with [f], keeping its shape. *)
+let map f p =
+  let fs = List.map f in
+  let level l =
+    {
+      l with
+      left_on = Option.map f l.left_on;
+      checks = fs l.checks;
+      hash =
+        Option.map
+          (fun h -> { h with h_probe = f h.h_probe; h_checks = fs h.h_checks })
+          l.hash;
+      period =
+        Option.map
+          (fun pd ->
+            let bs = List.map (fun b -> { b with bound = f b.bound }) in
+            {
+              pd with
+              pd_ubs = bs pd.pd_ubs;
+              pd_lbs = bs pd.pd_lbs;
+              pd_checks_exact = fs pd.pd_checks_exact;
+            })
+          l.period;
+    }
+  in
+  { levels = Array.map level p.levels; consts = fs p.consts }

@@ -12,7 +12,7 @@
      memoization off keep the scan.
 
    Every answer is compared, as a multiset, with the nested-loop answer
-   ([hash_joins = false]), compiled and interpreted. *)
+   ([hash_joins] and [temporal_index] off), compiled and interpreted. *)
 
 module Engine = Sqleval.Engine
 module Catalog = Sqleval.Catalog
@@ -25,11 +25,12 @@ let bag rs =
 
 (* Evaluate [sql] under the given switches with a fresh trace: the rows
    as a sorted bag, the join-order events, and a counter reader. *)
-let run ?(compile = true) ?(hash = true) ?(memo = true) e sql =
+let run ?(compile = true) ?(hash = true) ?(index = true) ?(memo = true) e sql =
   let cat = Engine.catalog e in
   let o = cat.Catalog.options in
   o.Catalog.compile <- compile;
   o.Catalog.hash_joins <- hash;
+  o.Catalog.temporal_index <- index;
   o.Catalog.memoize_table_functions <- memo;
   o.Catalog.observe <- true;
   let tr = Catalog.trace cat in
@@ -44,7 +45,7 @@ let run ?(compile = true) ?(hash = true) ?(memo = true) e sql =
   (rows, joins, Trace.get_count tr)
 
 let nested_loop ?memo e sql =
-  let rows, _, _ = run ~compile:false ~hash:false ?memo e sql in
+  let rows, _, _ = run ~compile:false ~hash:false ~index:false ?memo e sql in
   rows
 
 let check_event name joins want =
@@ -302,13 +303,17 @@ let test_dml_where_conjuncts () =
     (nested_loop e "SELECT k, v FROM t")
 
 (* ------------------------------------------------------------------ *)
-(* qcheck: random two- and three-source joins                          *)
+(* qcheck: random two- and three-source joins, every access path      *)
 (* ------------------------------------------------------------------ *)
 
-(* Three small tables over a tiny key domain with NULLs, plus a table
-   function over the third; the query is drawn from shapes that mix
-   join equalities, constant equalities and function arguments read
-   from earlier sources, in either conjunct order. *)
+(* Three small tables over a tiny key domain with NULLs, a table
+   function over the third, and a valid-time table [p] whose periods
+   (some empty) start within the first three weeks of 2010.  The query
+   is drawn from shapes that mix join equalities, constant equalities
+   and function arguments read from earlier sources, in either conjunct
+   order; period windows bounded by constants or by an earlier source's
+   period; and LEFT JOINs whose right side often has no match, so
+   null-extension runs. *)
 let random_case seed =
   let st = Random.State.make [| 0xacce55; seed |] in
   let e = Engine.create () in
@@ -316,51 +321,116 @@ let random_case seed =
     "CREATE TABLE a (k INTEGER, v INTEGER);\n\
      CREATE TABLE b (k INTEGER, w INTEGER);\n\
      CREATE TABLE c (k INTEGER, x INTEGER);\n\
+     CREATE TABLE p (k INTEGER, y INTEGER) WITH VALIDTIME;\n\
      CREATE FUNCTION fc (p INTEGER) RETURNS TABLE (k INTEGER, x INTEGER) \
      BEGIN RETURN TABLE (SELECT k, x FROM c WHERE x >= p); END";
   let v () =
     if Random.State.int st 6 = 0 then "NULL"
     else string_of_int (Random.State.int st 4)
   in
+  let date n =
+    Printf.sprintf "DATE '%s'"
+      (Sqldb.Date.to_string
+         (Sqldb.Date.add_days (Sqldb.Date.of_ymd ~y:2010 ~m:1 ~d:1) n))
+  in
+  let insert t cols row =
+    let n = Random.State.int st 9 in
+    if n > 0 then
+      ignore
+        (Engine.exec e
+           (Printf.sprintf "INSERT INTO %s%s VALUES %s" t cols
+              (String.concat ", " (List.init n (fun _ -> row ())))))
+  in
   List.iter
-    (fun t ->
-      let n = Random.State.int st 9 in
-      if n > 0 then
-        ignore
-          (Engine.exec e
-             (Printf.sprintf "INSERT INTO %s VALUES %s" t
-                (String.concat ", "
-                   (List.init n (fun _ ->
-                        Printf.sprintf "(%s, %s)" (v ()) (v ())))))))
+    (fun t -> insert t "" (fun () -> Printf.sprintf "(%s, %s)" (v ()) (v ())))
     [ "a"; "b"; "c" ];
+  insert "p" " (k, y, begin_time, end_time)" (fun () ->
+      let b = Random.State.int st 20 in
+      Printf.sprintf "(%s, %s, %s, %s)" (v ()) (v ()) (date b)
+        (date (b + Random.State.int st 8)));
   let k = Random.State.int st 4 in
   let pick l = List.nth l (Random.State.int st (List.length l)) in
   let conj l =
     String.concat " AND " (if Random.State.bool st then l else List.rev l)
   in
-  let sql =
+  let lo = Random.State.int st 20 in
+  let hi = lo + Random.State.int st 10 in
+  let lt = pick [ "<"; "<=" ] and gt = pick [ ">"; ">=" ] in
+  (* [true] marks a LEFT JOIN without WHERE: its answer keeps every row
+     of [a] in its first two columns. *)
+  let keeps_left, sql =
     pick
-      [
-        Printf.sprintf "SELECT a.v, b.w FROM a, b WHERE %s"
-          (conj [ "a.k = b.k"; Printf.sprintf "b.w = %d" k ]);
-        Printf.sprintf "SELECT a.v, b.w FROM a JOIN b ON %s"
-          (conj [ "b.k = a.k"; Printf.sprintf "b.k = %d" k ]);
-        Printf.sprintf
-          "SELECT a.v, b.w, t.x FROM a, b, TABLE(fc(a.v)) t WHERE %s"
-          (conj [ "a.k = b.k"; "t.k = b.k" ]);
-        Printf.sprintf
-          "SELECT a.v, t.x, b.w FROM a, TABLE(fc(%d)) t, b WHERE %s" k
-          (conj [ "t.k = a.k"; "b.w = t.x"; Printf.sprintf "t.x = %d" k ]);
-        Printf.sprintf
-          "SELECT a.v, t.k FROM a, TABLE(fc(%d)) t WHERE %s" k
-          (conj [ "a.v = t.x"; Printf.sprintf "t.k = %d" k ]);
-      ]
+      (List.map
+         (fun sql -> (false, sql))
+         [
+           Printf.sprintf "SELECT a.v, b.w FROM a, b WHERE %s"
+             (conj [ "a.k = b.k"; Printf.sprintf "b.w = %d" k ]);
+           Printf.sprintf "SELECT a.v, b.w FROM a JOIN b ON %s"
+             (conj [ "b.k = a.k"; Printf.sprintf "b.k = %d" k ]);
+           Printf.sprintf
+             "SELECT a.v, b.w, t.x FROM a, b, TABLE(fc(a.v)) t WHERE %s"
+             (conj [ "a.k = b.k"; "t.k = b.k" ]);
+           Printf.sprintf
+             "SELECT a.v, t.x, b.w FROM a, TABLE(fc(%d)) t, b WHERE %s" k
+             (conj [ "t.k = a.k"; "b.w = t.x"; Printf.sprintf "t.x = %d" k ]);
+           Printf.sprintf
+             "SELECT a.v, t.k FROM a, TABLE(fc(%d)) t WHERE %s" k
+             (conj [ "a.v = t.x"; Printf.sprintf "t.k = %d" k ]);
+           Printf.sprintf "SELECT p.k, p.y, a.v FROM p, a WHERE %s"
+             (conj
+                [
+                  Printf.sprintf "p.begin_time %s %s" lt (date hi);
+                  Printf.sprintf "p.end_time %s %s" gt (date lo);
+                  "a.k = p.k";
+                ]);
+           Printf.sprintf "SELECT a.v, p.y FROM a, p WHERE %s"
+             (conj
+                [
+                  Printf.sprintf "%s %s p.begin_time" (date hi)
+                    (if lt = "<" then ">" else ">=");
+                  Printf.sprintf "p.end_time %s %s" gt (date lo);
+                  "p.y >= a.v";
+                ]);
+           Printf.sprintf "SELECT x.k, y.k, y.y FROM p x, p y WHERE %s"
+             (conj
+                [
+                  Printf.sprintf "y.begin_time %s x.end_time" lt;
+                  Printf.sprintf "y.end_time %s x.begin_time" gt;
+                  Printf.sprintf "x.y = %d" k;
+                ]);
+           Printf.sprintf
+             "SELECT a.k, b.w FROM a LEFT JOIN b ON a.k = b.k WHERE b.w IS \
+              NULL OR b.w > %d"
+             k;
+         ]
+      @ List.map
+          (fun sql -> (true, sql))
+          [
+            Printf.sprintf "SELECT a.k, a.v, b.w FROM a LEFT JOIN b ON %s"
+              (conj [ "a.k = b.k"; Printf.sprintf "b.w = %d" k ]);
+            Printf.sprintf "SELECT a.k, a.v, p.y FROM a LEFT JOIN p ON %s"
+              (conj
+                 [
+                   "p.k = a.k";
+                   Printf.sprintf "p.begin_time %s %s" lt (date hi);
+                   Printf.sprintf "p.end_time %s %s" gt (date lo);
+                 ]);
+          ])
   in
-  (e, sql)
+  (e, sql, keeps_left)
 
 let prop_random_joins seed =
-  let e, sql = random_case seed in
+  let e, sql, keeps_left = random_case seed in
   let want = nested_loop e sql in
+  (* Every row of [a] is matched or null-extended.  Checked on the
+     nested-loop answer, which runs the same null-extension code as
+     every other path. *)
+  if
+    keeps_left
+    && List.sort_uniq compare
+         (List.map (function k :: v :: _ -> [ k; v ] | r -> r) want)
+       <> List.sort_uniq compare (nested_loop e "SELECT k, v FROM a")
+  then QCheck.Test.fail_reportf "seed=%d %s: a row of a was dropped" seed sql;
   List.iter
     (fun compile ->
       let rows, _, _ = run ~compile e sql in
@@ -398,8 +468,8 @@ let suite =
     ( "access-paths-prop",
       List.map QCheck_alcotest.to_alcotest
         [
-          QCheck.Test.make ~count:100
-            ~name:"random 2/3-source joins: hashed = nested loop"
+          QCheck.Test.make ~count:300
+            ~name:"random 2/3-source joins: every access path = nested loop"
             QCheck.(make Gen.(int_range 0 99999) ~print:string_of_int)
             prop_random_joins;
         ] );

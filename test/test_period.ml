@@ -162,6 +162,35 @@ let prop_coalesce_maximal =
             out)
         out)
 
+(* The engine's constant-period primitive (Stratum.adjacent_periods)
+   against an oracle: sort the points inside (bt, et) with bt and et
+   uniquely, then pair neighbours.  Points repeat, fall outside the
+   context, and bt >= et is drawn as often as not. *)
+let prop_adjacent_periods =
+  QCheck.Test.make ~name:"adjacent_periods = sorted distinct pairs" ~count:500
+    QCheck.(
+      triple (int_range 0 30) (int_range 0 30)
+        (list_of_size Gen.(int_range 0 25) (int_range (-5) 35)))
+    (fun (b, e, pts) ->
+      let day n = Date.add_days (d 2010 1 1) n in
+      let bt = day b and et = day e and points = List.map day pts in
+      let oracle =
+        if bt >= et then []
+        else
+          let inside = List.filter (fun x -> x > bt && x < et) points in
+          let rec pairs = function
+            | a :: (b :: _ as rest) -> (a, b) :: pairs rest
+            | _ -> []
+          in
+          pairs (List.sort_uniq Date.compare (bt :: et :: inside))
+      in
+      List.map
+        (function
+          | [| Sqldb.Value.Date a; Sqldb.Value.Date b |] -> (a, b)
+          | _ -> QCheck.Test.fail_report "a row is not a pair of dates")
+        (Taupsm.Stratum.adjacent_periods ~bt ~et points)
+      = oracle)
+
 let suite =
   [
     ( "period",
@@ -183,5 +212,6 @@ let suite =
         QCheck_alcotest.to_alcotest prop_subtract_disjoint;
         QCheck_alcotest.to_alcotest prop_coalesce_preserves_granules;
         QCheck_alcotest.to_alcotest prop_coalesce_maximal;
+        QCheck_alcotest.to_alcotest prop_adjacent_periods;
       ] );
   ]

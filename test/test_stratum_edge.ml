@@ -196,6 +196,32 @@ let test_coalesce_result () =
   let sliced = Stratum.timeslice_result rs (d "2010-01-16") in
   check_rows "timeslice" [ [ "a" ]; [ "b" ] ] (List.sort compare (rows_of sliced))
 
+(* The deployed configuration (what the CLI's run, repl and serve set
+   up, and what perfbench's [deploy] mirrors): Auto strategy, the
+   constant-period memo on, compilation on, one job. *)
+let test_deploy_configuration () =
+  let module C = Sqleval.Catalog in
+  let opts e = (Engine.catalog e).C.options in
+  let e = fresh () in
+  Alcotest.(check bool) "memo off before deploy" false
+    (opts e).C.memoize_constant_periods;
+  Alcotest.(check bool) "Auto forces nothing" true
+    (Stratum.deploy e Taupsm.Strategy.Auto = None);
+  let o = opts e in
+  Alcotest.(check bool) "auto strategy" true o.C.auto_strategy;
+  Alcotest.(check bool) "constant-period memo" true
+    o.C.memoize_constant_periods;
+  Alcotest.(check bool) "compile" true o.C.compile;
+  Alcotest.(check int) "jobs" 1 o.C.jobs;
+  let e = fresh () in
+  Alcotest.(check bool) "Force pins the strategy" true
+    (Stratum.deploy e (Taupsm.Strategy.Force Stratum.Perst)
+    = Some Stratum.Perst);
+  Alcotest.(check bool) "forced: no auto chooser" false
+    (opts e).C.auto_strategy;
+  Alcotest.(check bool) "forced: memo still on" true
+    (opts e).C.memoize_constant_periods
+
 let suite =
   [
     ( "stratum-edge",
@@ -217,5 +243,7 @@ let suite =
           test_nontemporal_routine_all_contexts;
         Alcotest.test_case "coalesce / timeslice utilities" `Quick
           test_coalesce_result;
+        Alcotest.test_case "deployed configuration" `Quick
+          test_deploy_configuration;
       ] );
   ]
