@@ -15,11 +15,15 @@
    something other than base-table references (views, derived tables,
    table functions) falls back to the interpreter, as does one with a
    nested join right of a LEFT JOIN; the (select, token) pair is then
-   cached as unsupported.  Expressions always compile — a construct
-   without a specialised closure (aggregates, subquery predicates,
-   stored-function calls) gets a generic closure that re-enters the
-   interpreter for that node only, keeping recursion depth guards, fault
-   injection and routine memoisation intact. *)
+   cached as unsupported.  Expressions always compile.  A column no
+   plan level carries (a PSM parameter or variable, an outer query's
+   column) becomes a per-run slot, evaluated at its first use; a stored-
+   function call evaluates its arguments with closures and invokes the
+   routine by name, so depth guards, fault injection and savepoints are
+   the interpreter's.  A construct without a specialised closure
+   (aggregates, subquery predicates) gets a generic closure that re-
+   enters the interpreter for that node only, counted per evaluation as
+   [compile.reentries]. *)
 
 open Sqlast.Ast
 module Value = Sqldb.Value
@@ -89,13 +93,25 @@ type entry = {
   mutable e_scanned : bool;  (* a top-level run scanned this version *)
 }
 
+(* SELECT ASTs by physical identity.  Within one statement every
+   evaluation of a SELECT reaches the same AST node (the statement's or
+   a stored routine's body), so identity is exact and cheaper than the
+   structural hash-and-compare; the shared store stays structural,
+   since served read views re-transform statements into fresh ASTs. *)
+module Phys = Hashtbl.Make (struct
+  type t = select
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 (* Per-statement state, hung off the environment's extension slot: a
    mutex-free local mirror of the plan store plus the row/hash caches.
    The slot is a ref cell shared with routine child environments, so
    the many SELECT evaluations inside one top-level statement — the
    stratum's generated PSM loops — all hit the same warm caches. *)
 type estate = {
-  es_plans : (select, (int * int * int) * cplan option) Hashtbl.t;
+  es_plans : ((int * int * int) * cplan option) Phys.t;
   es_caches : (int, entry option array) Hashtbl.t;  (* plan id -> sources *)
 }
 
@@ -106,7 +122,7 @@ let estate_of (env : Eval.env) : estate =
   | Some (Estate es) -> es
   | _ ->
       let es =
-        { es_plans = Hashtbl.create 16; es_caches = Hashtbl.create 16 }
+        { es_plans = Phys.create 16; es_caches = Hashtbl.create 16 }
       in
       env.Eval.ext_state := Some (Estate es);
       es
@@ -190,7 +206,35 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
   (* The generic fallback re-enters the interpreter for one node; since
      the plan's bindings are pushed as the innermost frame at run time,
      name resolution there behaves exactly as in interpreted mode. *)
-  let generic e = fun (rt : Eval.rt) -> Eval.eval_expr rt.Eval.env e in
+  let generic e (rt : Eval.rt) =
+    Trace.count rt.Eval.env.Eval.cat.Catalog.obs "compile.reentries" 1;
+    Eval.eval_expr rt.Eval.env e
+  in
+  (* A column no plan level carries names a PSM variable or an outer
+     query's column, neither of which can change while this plan runs:
+     it becomes a per-run slot, evaluated by the interpreter at its
+     first use (so an unknown name raises exactly when and where the
+     interpreter would) and read back for the rest of the run.  Equal
+     references share one slot. *)
+  let nslots = ref 0 and slot_of = ref [] in
+  let slot e key =
+    let k =
+      match List.assoc_opt key !slot_of with
+      | Some k -> k
+      | None ->
+          let k = !nslots in
+          incr nslots;
+          slot_of := (key, k) :: !slot_of;
+          k
+    in
+    fun (rt : Eval.rt) ->
+      let v = rt.Eval.slots.(k) in
+      if v != Eval.unset then v
+      else
+        let v = Eval.eval_expr rt.Eval.env e in
+        rt.Eval.slots.(k) <- v;
+        v
+  in
   let rec comp (e : expr) : Eval.cexpr =
     match e with
     | Lit v -> fun _ -> v
@@ -203,7 +247,7 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
                 match find_col (snd binds_static.(bi)) lname with
                 | Some ci -> fun rt -> rt.Eval.binds.(bi).Eval.b_row.(ci)
                 | None -> fun _ -> Eval.sql_error "no column %s in %s" name qq)
-            | None -> generic e)
+            | None -> slot e (Some (lc qq), lname))
         | None -> (
             let hits = ref [] in
             Array.iteri
@@ -214,7 +258,7 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
               binds_static;
             match !hits with
             | [ (bi, ci) ] -> fun rt -> rt.Eval.binds.(bi).Eval.b_row.(ci)
-            | [] -> generic e
+            | [] -> slot e (None, lname)
             | _ -> fun _ -> Eval.sql_error "ambiguous column reference %s" name))
     | Binop (And, a, b) ->
         let ca = comp a and cb = comp b in
@@ -245,11 +289,15 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
           | v -> Eval.sql_error "cannot negate %s" (Value.to_string v))
     | Fun_call (name, []) when lc name = "current_date" ->
         fun rt -> Value.Date rt.Eval.env.Eval.now
-    | Fun_call (name, args) when Builtins.is_builtin name ->
-        let cargs = List.map comp args in
-        fun rt ->
-          let argv = List.map (fun c -> c rt) cargs in
-          Builtins.call ~now:rt.Eval.env.Eval.now name argv
+    | Fun_call (name, args) -> (
+        let argv = comp_args args in
+        match Builtins.find name with
+        | Some f -> fun rt -> f ~now:rt.Eval.env.Eval.now name (argv rt)
+        | None ->
+            (* A stored function, looked up by name at call time: the
+               depth guard, fault site, savepoint and a mid-statement
+               redefinition behave as in the interpreter. *)
+            fun rt -> Eval.call_stored_function rt.Eval.env name (argv rt))
     | Cast (e1, ty) ->
         let c = comp e1 in
         fun rt -> Value.cast ~ty (c rt)
@@ -323,11 +371,25 @@ let compile_select_exn (cat : Catalog.t) (s : select) : cplan =
                   (Value.to_str_exn v)
               in
               Value.Bool (if neg then not m else m))
-    | Exists _ | Scalar_subquery _ | Agg _ | Fun_call _
-    | In_pred (_, In_query _, _) ->
+    | Exists _ | Scalar_subquery _ | Agg _ | In_pred (_, In_query _, _) ->
         generic e
+  (* Argument lists, evaluated left to right as the interpreter does;
+     the short ones without allocating a closure per call. *)
+  and comp_args args : Eval.rt -> Value.t list =
+    match List.map comp args with
+    | [] -> fun _ -> []
+    | [ a ] -> fun rt -> [ a rt ]
+    | [ a; b ] ->
+        fun rt ->
+          let x = a rt in
+          [ x; b rt ]
+    | cs -> fun rt -> List.map (fun c -> c rt) cs
   in
-  { p_id = Atomic.fetch_and_add next_id 1; p_lowered = Eval.lower comp s plan }
+  let lowered = Eval.lower comp s plan in
+  {
+    p_id = Atomic.fetch_and_add next_id 1;
+    p_lowered = { lowered with Eval.lw_slots = !nslots };
+  }
 
 let compile_select cat s =
   match compile_select_exn cat s with
@@ -430,11 +492,10 @@ let run (es : estate) (p : cplan) (env : Eval.env) : Result_set.t =
 (* The evaluator hook                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let lookup_plan (env : Eval.env) (s : select) : cplan option =
+let lookup_plan (es : estate) (env : Eval.env) (s : select) : cplan option =
   let cat = env.Eval.cat in
   let tok = Catalog.plan_token cat in
-  let es = estate_of env in
-  match Hashtbl.find_opt es.es_plans s with
+  match Phys.find_opt es.es_plans s with
   | Some (t, p) when t = tok -> p
   | _ ->
       let st = plans_of cat in
@@ -451,13 +512,14 @@ let lookup_plan (env : Eval.env) (s : select) : cplan option =
             Mutex.unlock st.mu;
             p
       in
-      Hashtbl.replace es.es_plans s (tok, p);
+      Phys.replace es.es_plans s (tok, p);
       p
 
 let select_hook (env : Eval.env) (s : select) : Result_set.t option =
-  match lookup_plan env s with
+  let es = estate_of env in
+  match lookup_plan es env s with
   | None -> None
-  | Some p -> Some (run (estate_of env) p env)
+  | Some p -> Some (run es p env)
 
 let install () = Eval.select_compiler := select_hook
 

@@ -33,6 +33,7 @@ type metrics = {
   constant_periods : int;
   selects_compiled : int;
   selects_interpreted : int;
+  reentries : int;
 }
 
 let metrics_of tr =
@@ -54,6 +55,7 @@ let metrics_of tr =
     constant_periods = c "constant_periods.periods";
     selects_compiled = c "compile.compiled";
     selects_interpreted = c "compile.interpreted";
+    reentries = c "compile.reentries";
   }
 
 let plan_cache_hit_rate m =
@@ -70,12 +72,13 @@ let metrics_to_json m =
      \"rows_probed\": %d, \"rows_matched\": %d, \"conjuncts_elided\": %d, \
      \"index_builds\": %d, \"index_rebuilds\": %d, \"routine_calls\": %d, \
      \"constant_period_calls\": %d, \"constant_periods\": %d, \
-     \"selects_compiled\": %d, \"selects_interpreted\": %d}"
+     \"selects_compiled\": %d, \"selects_interpreted\": %d, \
+     \"reentries\": %d}"
     m.plan_cache_hits m.plan_cache_misses (plan_cache_hit_rate m)
     m.scans_indexed m.scans_full m.scans_hash m.residual_fallbacks
     m.rows_probed m.rows_matched m.conjuncts_elided m.index_builds
     m.index_rebuilds m.routine_calls m.constant_period_calls
-    m.constant_periods m.selects_compiled m.selects_interpreted
+    m.constant_periods m.selects_compiled m.selects_interpreted m.reentries
 
 (* ------------------------------------------------------------------ *)
 (* Reports                                                             *)
@@ -306,8 +309,8 @@ let report_to_string ?(show_timings = true) (rp : report) : string =
     m.scans_indexed m.scans_full m.scans_hash m.residual_fallbacks;
   add "  rows: %d probed, %d matched; %d conjunct check(s) elided"
     m.rows_probed m.rows_matched m.conjuncts_elided;
-  add "  selects: %d compiled, %d interpreted" m.selects_compiled
-    m.selects_interpreted;
+  add "  selects: %d compiled, %d interpreted, %d re-entries"
+    m.selects_compiled m.selects_interpreted m.reentries;
   add "-- cost model vs actuals --";
   (match rp.rp_estimate with
   | Some est ->

@@ -39,6 +39,10 @@ type metrics = {
   selects_interpreted : int;
       (** SELECT evaluations that fell back to the interpreter (with
           compilation on; 0 when [options.compile] is off) *)
+  reentries : int;
+      (** per-row evaluations in compiled plans that called back into
+          the interpreter (subqueries, aggregates); a slot's first use
+          does not count *)
 }
 
 val metrics_of : Trace.t -> metrics

@@ -1,113 +1,73 @@
-(* A static interval index: items sorted by interval begin, augmented
-   with a segment tree holding the maximum interval end per range of the
-   sorted order.
+(* A static interval index: a segment tree over the items in their
+   original (scan) order, each node holding the minimum interval begin
+   and the maximum interval end of its range.
 
    A query [overlapping ~begin_ ~end_] must report items with
-   b < end_ && e > begin_.  Sorting by b makes the first condition a
-   prefix of the sorted order (found by binary search); the segment tree
-   prunes, within that prefix, every range whose maximum end is
-   <= begin_.  A reported item costs O(log n); a pruned subtree costs
-   O(1); total O(log n + k log n) worst case, O(log n + k) on the
-   clustered layouts temporal tables actually have.
+   b < end_ && e > begin_.  It descends only into nodes whose
+   (min begin, max end) admits such an item, so a subtree of rows that
+   all begin after the window or all end before it costs O(1).  The
+   descent visits children right to left and conses each hit, so the
+   result comes out in scan order without a sort.  On tables appended
+   in time order, neighbouring rows have neighbouring periods and a
+   query costs O(log n + k); on an arbitrary layout the pruning only
+   gets weaker, never wrong.
 
-   Items with no extractable interval (residuals) are returned by every
-   query, so results are supersets suitable for exact re-filtering. *)
+   Items with no extractable interval (residuals) are leaves with
+   (min_int, max_int), so every query reaches them: results are
+   supersets suitable for exact re-filtering.
+
+   Layout: the node of range [l, r) with r - l > 1 splits at
+   m = (l + r) / 2; its left child follows it and its right child
+   follows the left subtree's 2 (m - l) - 1 nodes, so n items take
+   exactly 2n - 1 nodes. *)
 
 type 'a t = {
-  begins : int array;  (* interval begins, ascending *)
-  pos : int array;  (* parallel original positions *)
-  items : 'a array;  (* parallel items *)
-  tree : int array;  (* segment-tree max of [ends]; size 2*width *)
-  width : int;  (* leaves of the tree, >= Array.length begins *)
-  residual : (int * 'a) list;  (* (original position, item), ascending *)
-  total : int;
+  items : 'a array;  (* in original order *)
+  lo : int array;  (* min begin per node *)
+  hi : int array;  (* max end per node *)
+  residuals : int;
 }
 
-let length t = t.total
-let residual_count t = List.length t.residual
+let length t = Array.length t.items
+let residual_count t = t.residuals
 
 let build ~extract (items : 'a array) : 'a t =
-  let indexed = ref [] and residual = ref [] and n = ref 0 in
-  Array.iteri
-    (fun i x ->
-      match extract x with
+  let n = Array.length items in
+  let lo = Array.make (max 0 ((2 * n) - 1)) 0 in
+  let hi = Array.make (max 0 ((2 * n) - 1)) 0 in
+  let residuals = ref 0 in
+  let rec fill node l r =
+    if r - l = 1 then (
+      match extract items.(l) with
       | Some (b, e) ->
-          incr n;
-          indexed := (b, e, i, x) :: !indexed
-      | None -> residual := (i, x) :: !residual)
-    items;
-  let n = !n in
-  let arr = Array.of_list (List.rev !indexed) in
-  (* Sort by begin; ties by original position keep the order stable. *)
-  Array.sort
-    (fun (b1, _, p1, _) (b2, _, p2, _) ->
-      match Int.compare b1 b2 with 0 -> Int.compare p1 p2 | c -> c)
-    arr;
-  let begins = Array.map (fun (b, _, _, _) -> b) arr in
-  let ends = Array.map (fun (_, e, _, _) -> e) arr in
-  let pos = Array.map (fun (_, _, p, _) -> p) arr in
-  let sorted_items = Array.map (fun (_, _, _, x) -> x) arr in
-  (* Power-of-two bottom-up segment tree over [ends]. *)
-  let width =
-    let w = ref 1 in
-    while !w < n do
-      w := !w * 2
-    done;
-    !w
+          lo.(node) <- b;
+          hi.(node) <- e
+      | None ->
+          incr residuals;
+          lo.(node) <- min_int;
+          hi.(node) <- max_int)
+    else begin
+      let m = (l + r) / 2 in
+      let left = node + 1 and right = node + (2 * (m - l)) in
+      fill left l m;
+      fill right m r;
+      lo.(node) <- min lo.(left) lo.(right);
+      hi.(node) <- max hi.(left) hi.(right)
+    end
   in
-  let tree = Array.make (2 * width) min_int in
-  Array.blit ends 0 tree width n;
-  for i = width - 1 downto 1 do
-    tree.(i) <- max tree.(2 * i) tree.((2 * i) + 1)
-  done;
-  {
-    begins;
-    pos;
-    items = sorted_items;
-    tree;
-    width;
-    residual = List.rev !residual;
-    total = Array.length items;
-  }
-
-(* First index whose begin is >= [e] (the end of the prefix with
-   begin < e). *)
-let prefix_end t e =
-  let lo = ref 0 and hi = ref (Array.length t.begins) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.begins.(mid) < e then lo := mid + 1 else hi := mid
-  done;
-  !lo
+  if n > 0 then fill 0 0 n;
+  { items; lo; hi; residuals = !residuals }
 
 let overlapping t ~begin_ ~end_ : 'a list =
-  let hi = prefix_end t end_ in
-  let hits = ref [] in
-  (* Collect indexed matches in [0, hi) with end > begin_, descending
-     the segment tree and pruning ranges whose max end is <= begin_. *)
-  let rec collect node node_lo node_hi =
-    if node_lo < hi && t.tree.(node) > begin_ then
-      if node >= t.width then
-        hits := (t.pos.(node_lo), t.items.(node_lo)) :: !hits
-      else begin
-        let mid = (node_lo + node_hi) / 2 in
-        collect (2 * node) node_lo mid;
-        collect ((2 * node) + 1) mid node_hi
-      end
+  let rec go node l r acc =
+    if t.lo.(node) < end_ && t.hi.(node) > begin_ then
+      if r - l = 1 then t.items.(l) :: acc
+      else
+        let m = (l + r) / 2 in
+        go (node + 1) l m (go (node + (2 * (m - l))) m r acc)
+    else acc
   in
-  if Array.length t.begins > 0 then collect 1 0 t.width;
-  (* Merge indexed hits with residuals back into original order.  The
-     tree yields hits in begin-sorted order; sorting the k hits by
-     position restores the scan order exactly (O(k log k), k << n). *)
-  let hits =
-    List.sort (fun (p1, _) (p2, _) -> Int.compare p1 p2) !hits
-  in
-  let rec merge a b =
-    match (a, b) with
-    | [], rest | rest, [] -> List.map snd rest
-    | (pa, xa) :: ta, (pb, xb) :: tb ->
-        if pa <= pb then xa :: merge ta b else xb :: merge a tb
-  in
-  merge hits t.residual
+  let n = Array.length t.items in
+  if n = 0 then [] else go 0 0 n []
 
 let stabbing t ~at = overlapping t ~begin_:at ~end_:(at + 1)

@@ -1,13 +1,14 @@
 (** A static interval index over half-open [int] intervals [[b, e)]:
-    items sorted by begin with an augmented (segment-tree) running max
-    of end, answering period-overlap ("stabbing") queries in
-    O(log n + k) instead of O(n).
+    a segment tree over the items in their original order, each node
+    holding the minimum begin and maximum end of its range, answering
+    period-overlap ("stabbing") queries in O(log n + k) on tables
+    appended in time order instead of O(n).
 
     The index is built once from a snapshot of the items and is
     immutable; callers are responsible for rebuilding after mutation
     (see {!Table}'s version counter).  Items whose interval cannot be
-    extracted ([extract] returns [None]) are kept in a residual set that
-    every query returns, so the result is always a superset of the
+    extracted ([extract] returns [None]) are residual leaves that every
+    query returns, so the result is always a superset of the
     matching items and an exact re-check downstream stays cheap and
     safe.
 

@@ -306,7 +306,7 @@ let interval_index t ~bi ~ei =
    half-open test (begin < end_ AND end > begin_), plus any rows whose
    timestamp columns are not dates — a superset safe for exact
    re-filtering — in insertion order.  O(log n + k) per query against
-   the cached index. *)
+   the cached index when rows were appended in time order. *)
 let overlapping t ~bi ~ei ~begin_ ~end_ =
   Interval_index.overlapping (interval_index t ~bi ~ei) ~begin_ ~end_
 

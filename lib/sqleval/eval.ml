@@ -18,12 +18,7 @@ exception Sql_error of string
 
 let sql_error fmt = Printf.ksprintf (fun s -> raise (Sql_error s)) fmt
 
-(* Identifier case folding without allocating when [s] is already
-   lowercase (the common case on per-row name lookups). *)
-let lower s =
-  if String.exists (fun c -> c >= 'A' && c <= 'Z') s then
-    String.lowercase_ascii s
-  else s
+let lower = Builtins.lower
 
 (* ------------------------------------------------------------------ *)
 (* Environment                                                         *)
@@ -63,12 +58,18 @@ type env = {
   mutable scopes : scope list;  (* innermost block first; [] at top level *)
   depth : int ref;  (* shared routine-recursion guard *)
   (* Per-statement memo cache for table-valued function invocations:
-     key = (catalog generation, function name, argument values).  The
-     generation component makes entries self-invalidating: a CALL that
-     executes DDL redefining a routine mid-statement bumps the
-     generation, so later invocations cannot be served rows computed
-     under the old definition. *)
-  tf_cache : (int * string * Value.t list, Result_set.t) Hashtbl.t;
+     key = (catalog generation, write count, function name, argument
+     values).  The first two components make entries self-invalidating:
+     a CALL that executes DDL redefining a routine mid-statement bumps
+     the generation, and a write run through the environment bumps
+     [writes], so later invocations cannot be served rows computed under
+     the old definitions or over the old data. *)
+  tf_cache : (int * int * string * Value.t list, Result_set.t) Hashtbl.t;
+  writes : int ref;
+      (* INSERT/UPDATE/DELETE/CREATE/DROP statements run so far outside
+         memoized table-function bodies; shared with routine child
+         environments like [depth] *)
+  tf_depth : int ref;  (* memoized table-function bodies now running *)
   mutable calls : int;  (* statistics: routine invocations *)
   guard : Guard.t;  (* the catalog's resource guard, bound once *)
   ext_state : Catalog.ext option ref;
@@ -95,6 +96,8 @@ let create_env ?(now = Date.of_ymd ~y:2011 ~m:1 ~d:1) ?(tt_mode = `Current) cat
     scopes = [];
     depth = ref 0;
     tf_cache = Hashtbl.create 64;
+    writes = ref 0;
+    tf_depth = ref 0;
     calls = 0;
     guard = cat.Catalog.options.Catalog.guards;
     ext_state = ref None;
@@ -357,10 +360,14 @@ type exec_result = Rows of Result_set.t | Affected of int | Unit
 
 (* The context a lowered expression runs against: the live evaluation
    environment (subqueries, PSM variables, guards) plus the run's own
-   row bindings, freshly allocated per run so re-entrant runs of one
-   plan (a routine in a projection re-running it) cannot clobber each
-   other's rows. *)
-type rt = { env : env; binds : binding array }
+   row bindings and run-invariant slots, freshly allocated per run so
+   re-entrant runs of one plan (a routine in a projection re-running
+   it) cannot clobber each other's rows or values.  A slot caches an
+   expression that cannot change during one run (a PSM variable, an
+   outer correlated column): [unset] until its first use evaluates it. *)
+type rt = { env : env; binds : binding array; slots : Value.t array }
+
+let unset = Value.Str "<unset slot>"
 
 type cexpr = rt -> Value.t
 
@@ -374,6 +381,7 @@ type 'a lowered = {
   lw_grouped : bool;
   lw_proj : rt -> Value.t list;
   lw_keys : cexpr list;
+  lw_slots : int;  (* size of [rt.slots]; 0 for the interpreter *)
 }
 
 (* Where one plan level's rows come from during one run.  [src_rows]
@@ -491,6 +499,7 @@ let lower (f : expr -> cexpr) (s : select) (plan : ('a, expr) Plan.t) :
            s.proj;
     lw_proj = (fun rt -> List.concat_map (fun p -> p rt) proj);
     lw_keys = List.map (fun (e, _) -> f e) s.order_by;
+    lw_slots = 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -678,16 +687,21 @@ and eval_aggregate env g af distinct operand =
       end
 
 and eval_fun_call env name argv : Value.t =
-  if Builtins.is_builtin name then Builtins.call ~now:env.now name argv
-  else
-    match Catalog.find_function env.cat name with
-    | Some r -> (
-        match r.r_returns with
-        | Some (Ret_scalar _) -> invoke_scalar_function env r argv
-        | Some (Ret_table _) ->
-            sql_error "table function %s used in a scalar context" name
-        | None -> assert false)
-    | None -> sql_error "unknown function %s" name
+  match Builtins.find name with
+  | Some f -> f ~now:env.now name argv
+  | None -> call_stored_function env name argv
+
+(* A call of a name that is not a builtin, resolved against the catalog
+   at call time, so a routine redefined mid-statement takes effect. *)
+and call_stored_function env name argv : Value.t =
+  match Catalog.find_function env.cat name with
+  | Some r -> (
+      match r.r_returns with
+      | Some (Ret_scalar _) -> invoke_scalar_function env r argv
+      | Some (Ret_table _) ->
+          sql_error "table function %s used in a scalar context" name
+      | None -> assert false)
+  | None -> sql_error "unknown function %s" name
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation                                                    *)
@@ -925,11 +939,12 @@ and invoke_table_function env fname argv : Result_set.t =
   | Some ntf -> ntf.Catalog.ntf_fn env.cat argv
   | None -> (
       let memoize = env.cat.Catalog.options.Catalog.memoize_table_functions in
-      (* Keyed on the catalog generation so mid-statement DDL that
-         redefines a routine orphans every entry computed under the old
-         definitions instead of serving stale rows. *)
+      (* Keyed on the catalog generation and the write count, so
+         mid-statement DDL that redefines a routine, or a write that
+         changes what the function reads, orphans every entry computed
+         before it instead of serving stale rows. *)
       let key =
-        (env.cat.Catalog.generation, String.lowercase_ascii fname, argv)
+        (env.cat.Catalog.generation, !(env.writes), Builtins.lower fname, argv)
       in
       match if memoize then Hashtbl.find_opt env.tf_cache key else None with
       | Some rs -> rs
@@ -939,9 +954,17 @@ and invoke_table_function env fname argv : Result_set.t =
             | Some r -> r
             | None -> sql_error "unknown table function %s" fname
           in
-          let rs = invoke_routine_table env r argv in
-          if memoize then Hashtbl.add env.tf_cache key rs;
-          rs)
+          if not memoize then invoke_routine_table env r argv
+          else begin
+            incr env.tf_depth;
+            let rs =
+              Fun.protect
+                ~finally:(fun () -> decr env.tf_depth)
+                (fun () -> invoke_routine_table env r argv)
+            in
+            Hashtbl.add env.tf_cache key rs;
+            rs
+          end)
 
 and eval_select env (s : select) : Result_set.t =
   if not env.cat.Catalog.options.Catalog.compile then eval_select_interp env s
@@ -988,7 +1011,13 @@ and run_plan : 'a. env -> 'a lowered -> source array -> Result_set.t =
       levels
   in
   let binds_list = Array.to_list binds in
-  let rt = { env; binds } in
+  let rt =
+    {
+      env;
+      binds;
+      slots = (if lw.lw_slots = 0 then [||] else Array.make lw.lw_slots unset);
+    }
+  in
   let rec all_pass = function
     | [] -> true
     | c :: cs -> truthy (c rt) && all_pass cs
@@ -1450,25 +1479,31 @@ and exec_stmt env (s : stmt) : exec_result =
   Guard.step env.guard;
   match s with
   | Squery q -> Rows (eval_query env q)
-  | Sinsert (tname, cols, src) -> exec_insert env tname cols src
-  | Supdate (tname, sets, where) -> exec_update env tname sets where
-  | Sdelete (tname, where) -> exec_delete env tname where
+  | Sinsert (tname, cols, src) ->
+      write env (fun () -> exec_insert env tname cols src)
+  | Supdate (tname, sets, where) ->
+      write env (fun () -> exec_update env tname sets where)
+  | Sdelete (tname, where) -> write env (fun () -> exec_delete env tname where)
   | Smerge _ ->
       sql_error
         "TEMPORAL MERGE must be executed through the temporal stratum"
-  | Screate_table ct -> exec_create_table env ct
+  | Screate_table ct -> write env (fun () -> exec_create_table env ct)
   | Sdrop_table name ->
-      Database.drop_table env.cat.Catalog.db name;
-      Unit
+      write env (fun () ->
+          Database.drop_table env.cat.Catalog.db name;
+          Unit)
   | Screate_view (name, q) ->
-      Catalog.add_view env.cat name q;
-      Unit
+      write env (fun () ->
+          Catalog.add_view env.cat name q;
+          Unit)
   | Screate_function r ->
-      Catalog.add_routine ~replace:true env.cat Catalog.Rfunction r;
-      Unit
+      write env (fun () ->
+          Catalog.add_routine ~replace:true env.cat Catalog.Rfunction r;
+          Unit)
   | Screate_procedure r ->
-      Catalog.add_routine ~replace:true env.cat Catalog.Rprocedure r;
-      Unit
+      write env (fun () ->
+          Catalog.add_routine ~replace:true env.cat Catalog.Rprocedure r;
+          Unit)
   | Scall (name, args) -> (
       match Catalog.find_procedure env.cat name with
       | Some r ->
@@ -1641,6 +1676,18 @@ and exec_stmt env (s : stmt) : exec_result =
         "temporal statement modifier reached the conventional engine; \
          routines containing VALIDTIME are only invocable from a \
          nonsequenced context (the stratum rejects or rewrites them)"
+
+(* Run a write, then bump the statement's write count (also when it
+   fails part-way), so table-function memo entries computed before it
+   are not served after it.  The writes of a memoized table function's
+   own body (PERST's per-call result tables) do not count: memoizing
+   already assumes the function's rows depend only on its arguments and
+   the data around it, and counting its scratch writes would make every
+   call a miss. *)
+and write env f =
+  Fun.protect
+    ~finally:(fun () -> if !(env.tf_depth) = 0 then incr env.writes)
+    f
 
 and exec_loop env label step =
   let matches l =

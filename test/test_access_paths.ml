@@ -243,6 +243,43 @@ let test_tf_unmemoized_scans () =
         WHERE i.id = t.iid"
        ~event:"order=a:full,i:full,t:lateral")
 
+(* The table-function memo must not serve rows computed before a write
+   made later in the same statement: g reads tf's rows, inserts into the
+   table tf reads and reads tf again.  The writes a memoized function
+   makes to its own scratch table (PERST's result tables) do not
+   invalidate it: h's two calls of scratch(1) run it once. *)
+let test_tf_memo_after_write () =
+  List.iter
+    (fun compile ->
+      let e = Engine.create () in
+      Engine.exec_script e
+        "CREATE TABLE t (x INTEGER);\n\
+         INSERT INTO t VALUES (1);\n\
+         CREATE FUNCTION tf () RETURNS TABLE (x INTEGER) BEGIN RETURN TABLE \
+         (SELECT x FROM t); END;\n\
+         CREATE FUNCTION g () RETURNS INTEGER BEGIN DECLARE a INTEGER; \
+         DECLARE b INTEGER; SET a = (SELECT COUNT(*) FROM TABLE(tf()) z); \
+         INSERT INTO t VALUES (2); SET b = (SELECT COUNT(*) FROM TABLE(tf()) \
+         z); RETURN b; END;\n\
+         CREATE FUNCTION scratch (k INTEGER) RETURNS TABLE (x INTEGER) BEGIN \
+         CREATE TEMPORARY TABLE scratch_rows (x INTEGER); INSERT INTO \
+         scratch_rows SELECT x + k FROM t; RETURN TABLE (SELECT * FROM \
+         scratch_rows); END;\n\
+         CREATE FUNCTION h () RETURNS INTEGER BEGIN RETURN (SELECT COUNT(*) \
+         FROM TABLE(scratch(1)) z) + (SELECT COUNT(*) FROM \
+         TABLE(scratch(1)) z); END";
+      let name = if compile then "compiled" else "interpreted" in
+      let rows, _, count = run ~compile e "SELECT g() FROM t" in
+      Alcotest.check bag_t (name ^ ": second call sees the insert") [ [ "2" ] ]
+        rows;
+      Alcotest.(check int) (name ^ ": tf ran twice") 3 (count "routine.calls");
+      let rows, _, count = run ~compile e "SELECT h() FROM t WHERE x = 1" in
+      Alcotest.check bag_t (name ^ ": scratch rows") [ [ "4" ] ] rows;
+      Alcotest.(check int)
+        (name ^ ": scratch writes keep the memo")
+        2 (count "routine.calls"))
+    [ true; false ]
+
 (* ------------------------------------------------------------------ *)
 (* First-level hash keys and DML predicates                            *)
 (* ------------------------------------------------------------------ *)
@@ -460,6 +497,8 @@ let suite =
           test_tf_native_scans;
         Alcotest.test_case "unmemoized table function scans" `Quick
           test_tf_unmemoized_scans;
+        Alcotest.test_case "table-function memo sees a later write" `Quick
+          test_tf_memo_after_write;
         Alcotest.test_case "first-level hash index deferred, scan order"
           `Quick test_first_level_hash_deferred;
         Alcotest.test_case "DML WHERE conjunct by conjunct" `Quick

@@ -80,6 +80,125 @@ let test_equivalence () =
     (!compiled_total >= 16)
 
 (* ------------------------------------------------------------------ *)
+(* Run-invariant slots and stored-function calls                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A compiled plan evaluates each reference to a PSM parameter or
+   variable, or to an outer query's column, once per run (a slot) and
+   calls stored functions directly.  Each query below puts such
+   references in one role — hash key, period-window bound, residual
+   check, projection, ORDER BY key — and must answer exactly as the
+   interpreter does, in order; where the SELECT has no subquery, the
+   compiled run must not call back into the interpreter per row. *)
+let slot_engine () =
+  let e = Engine.create ~now:(Date.of_ymd ~y:2010 ~m:12 ~d:1) () in
+  Stratum.install e;
+  Engine.exec_script e
+    "CREATE TABLE p (k INTEGER, y INTEGER) WITH VALIDTIME;\n\
+     CREATE TABLE a (k INTEGER, d DATE);\n\
+     CREATE TABLE empty_t (k INTEGER, v INTEGER);\n\
+     INSERT INTO a VALUES (1, DATE '2010-01-10'), (2, DATE '2010-02-01'), \
+     (NULL, DATE '2010-01-20'), (3, NULL), (1, DATE '2010-03-05');\n\
+     INSERT INTO p (k, y, begin_time, end_time) VALUES (1, 5, DATE \
+     '2010-01-01', DATE '2010-02-01'), (1, 7, DATE '2010-01-15', DATE \
+     '2010-04-01'), (2, 2, DATE '2010-01-01', DATE '2010-12-31'), (1, 9, \
+     DATE '2010-03-01', DATE '2010-03-01'), (NULL, 4, DATE '2010-01-01', \
+     DATE '2010-06-01'), (2, 8, DATE '2010-02-01', DATE '2010-02-02'), (3, \
+     1, DATE '2010-01-05', DATE '2010-03-10');\n\
+     CREATE FUNCTION digits (kk INTEGER, d DATE) RETURNS INTEGER BEGIN \
+     DECLARE lim INTEGER DEFAULT 3; DECLARE s INTEGER DEFAULT 0; FOR \
+     SELECT y + lim AS z FROM p WHERE p.k = kk AND p.begin_time <= d AND \
+     d < p.end_time AND y > lim - 2 ORDER BY y * lim DESC DO SET s = s * \
+     10 + z - lim; END FOR; RETURN s; END;\n\
+     CREATE FUNCTION window_of (d DATE) RETURNS INTEGER BEGIN DECLARE lim \
+     INTEGER DEFAULT 3; DECLARE s INTEGER DEFAULT 0; FOR SELECT y - lim AS \
+     z FROM p WHERE p.begin_time <= d AND d < p.end_time AND y <> lim + 1 \
+     ORDER BY y + lim DO SET s = s * 10 + z + lim; END FOR; RETURN s; \
+     END;\n\
+     CREATE FUNCTION by_var (kk INTEGER) RETURNS INTEGER BEGIN DECLARE key \
+     INTEGER DEFAULT 0; DECLARE n INTEGER; SET key = kk + 1; SET n = \
+     (SELECT COUNT(*) FROM a, p WHERE p.k = key - 1 AND a.k = key - 1 AND \
+     p.end_time > a.d); RETURN n; END";
+  e
+
+let slot_queries =
+  [
+    ( "parameters and variables: key, window, check, projection, order",
+      "SELECT a.k, digits(a.k, a.d) FROM a",
+      true );
+    ( "parameter and variables: window bounds, check, projection, order",
+      "SELECT a.d, window_of(a.d) FROM a",
+      true );
+    ("DECLAREd variable as a join's hash key", "SELECT k, by_var(k) FROM a", true);
+    ( "stored function in WHERE and in the SELECT list",
+      "SELECT a.k, digits(a.k, a.d) + 1 FROM a WHERE digits(a.k, a.d) > 0 \
+       ORDER BY a.d",
+      true );
+    ( "outer columns: hash key, check, projection",
+      "SELECT a.k, (SELECT MAX(p.y + a.k) FROM p WHERE p.k = a.k AND \
+       p.begin_time <= a.d AND p.y <> a.k) FROM a",
+      false );
+    ( "outer columns: window bounds, check, projection, order",
+      "SELECT a.k, (SELECT p.y * 10 + a.k FROM p WHERE p.begin_time <= a.d \
+       AND p.end_time > a.d AND p.y > a.k ORDER BY p.y - a.k DESC FETCH \
+       FIRST 1 ROWS ONLY) FROM a",
+      false );
+    ( "outer column in a correlated EXISTS: check and ORDER BY",
+      "SELECT a.k FROM a WHERE EXISTS (SELECT p.y FROM p WHERE p.y > a.k \
+       ORDER BY p.y - a.k) ORDER BY a.k",
+      false );
+  ]
+
+let test_slots_equivalence () =
+  List.iter
+    (fun (name, sql, no_subquery) ->
+      let answer compile =
+        let e = slot_engine () in
+        let cat = Engine.catalog e in
+        cat.Catalog.options.Catalog.observe <- true;
+        cat.Catalog.options.Catalog.compile <- compile;
+        let tr = Catalog.trace cat in
+        Trace.reset tr;
+        let rows = rows_of (Engine.query e sql) in
+        (rows, Trace.get_count tr "compile.reentries")
+      in
+      let want, _ = answer false in
+      let got, reentries = answer true in
+      Alcotest.(check bool) (name ^ ": non-empty") true (want <> []);
+      Alcotest.(check (list (list string))) (name ^ ": rows, in order") want got;
+      if no_subquery then
+        Alcotest.(check int) (name ^ ": no per-row re-entry") 0 reentries)
+    slot_queries
+
+(* A slot is evaluated at its first use, as the interpreter evaluates
+   the reference: an undeclared name in a residual check raises the
+   interpreter's error as soon as a row reaches the check, and never
+   over an empty table. *)
+let test_slots_lazy () =
+  let outcome ~compile sql =
+    let e = slot_engine () in
+    (Engine.catalog e).Catalog.options.Catalog.compile <- compile;
+    match Engine.query e sql with
+    | rs -> Printf.sprintf "%d row(s)" (List.length rs.RS.rows)
+    | exception ex -> Printexc.to_string ex
+  in
+  List.iter
+    (fun (sql, want_error) ->
+      let interp = outcome ~compile:false sql in
+      let compiled = outcome ~compile:true sql in
+      Alcotest.(check string) (sql ^ ": compiled = interpreted") interp compiled;
+      Alcotest.(check bool)
+        (sql ^ ": raises " ^ interp)
+        want_error
+        (Astring.String.is_infix ~affix:"nosuch" interp))
+    [
+      ("SELECT k FROM a WHERE k > nosuch", true);
+      ("SELECT k FROM empty_t WHERE v > nosuch", false);
+      ("SELECT nosuch FROM a", true);
+      ("SELECT nosuch FROM empty_t", false);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* qcheck: compiled ≡ interpreted on random temporal databases         *)
 (* ------------------------------------------------------------------ *)
 
@@ -161,6 +280,10 @@ let suite =
       [
         Alcotest.test_case "16 queries: {compiled,interp} x jobs {1,4}" `Slow
           test_equivalence;
+        Alcotest.test_case "slots and stored calls: compiled = interpreted"
+          `Quick test_slots_equivalence;
+        Alcotest.test_case "slots are evaluated at first use" `Quick
+          test_slots_lazy;
       ] );
     ("compile-equivalence", qcheck_tests);
   ]

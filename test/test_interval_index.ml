@@ -60,6 +60,45 @@ let prop_matches_naive (items, pb, plen) =
   let pe = pb + plen in
   II.overlapping idx ~begin_:pb ~end_:pe = naive items ~begin_:pb ~end_:pe
 
+(* The layout a loaded τBench table has ({!Taubench.Simulate.rows_of_vtable}):
+   closed history versions in the order the changes happened, then every
+   current version, ending at forever.  Changes hit random rows at
+   non-decreasing instants; probes are narrow windows (zero to three
+   days) anywhere around the history. *)
+let gen_vtable_case =
+  QCheck.Gen.(
+    triple (int_range 1 12)
+      (list_size (int_range 0 80) (pair (int_range 0 11) (int_range 0 3)))
+      (pair (int_range (-5) 160) (int_range 0 3)))
+
+let arb_vtable_case =
+  QCheck.make gen_vtable_case ~print:(fun (n, changes, (off, len)) ->
+      Printf.sprintf "%d rows, %d changes, probe [+%d, +%d)" n
+        (List.length changes) off (off + len))
+
+let prop_vtable_layout (n, changes, (off, len)) =
+  let module Sim = Taubench.Simulate in
+  let base = Taubench.Dcsd.base_date in
+  let vt = Sim.vtable_of_rows (List.init n (fun i -> [| Value.Int i |])) in
+  ignore
+    (List.fold_left
+       (fun t (row, step) ->
+         let t = t + step in
+         Sim.change_row vt (row mod n) t ~update:(fun d ->
+             [| Value.Int (Value.to_int_exn d.(0) + 100) |]);
+         t)
+       base changes);
+  let period (r : Value.t array) =
+    match (r.(1), r.(2)) with
+    | Value.Date b, Value.Date e -> Some (b, e)
+    | _ -> None
+  in
+  let items = List.mapi (fun i r -> (i, period r)) (Sim.rows_of_vtable vt) in
+  let idx = II.build ~extract:snd (Array.of_list items) in
+  let pb = base + off in
+  II.overlapping idx ~begin_:pb ~end_:(pb + len)
+  = naive items ~begin_:pb ~end_:(pb + len)
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -71,6 +110,9 @@ let qcheck_tests =
           let items = List.mapi (fun i it -> (i, it)) items in
           let idx = II.build ~extract:snd (Array.of_list items) in
           II.stabbing idx ~at = naive items ~begin_:at ~end_:(at + 1));
+      QCheck.Test.make ~count:300
+        ~name:"history-then-current layout, narrow windows = naive filter"
+        arb_vtable_case prop_vtable_layout;
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -226,7 +226,7 @@ let golden_max =
       "  index build table=item cols=(2,3) rows=2 residuals=0  (x1)";
       "  scans: 1 indexed, 3 full, 1 hash, 0 residual fallback(s)";
       "  rows: 9 probed, 9 matched; 3 conjunct check(s) elided";
-      "  selects: 4 compiled, 1 interpreted";
+      "  selects: 4 compiled, 1 interpreted, 0 re-entries";
       "-- cost model vs actuals --";
       "  estimated: MAX cost=134, PERST cost=113, constant periods=2";
       "  actual:    1 row(s); 1 routine call(s), 1 constant period(s)";
@@ -342,7 +342,7 @@ let golden_perst =
       "  index build table=item cols=(2,3) rows=2 residuals=0  (x1)";
       "  scans: 1 indexed, 7 full, 1 hash, 0 residual fallback(s)";
       "  rows: 12 probed, 12 matched; 3 conjunct check(s) elided";
-      "  selects: 8 compiled, 2 interpreted";
+      "  selects: 8 compiled, 2 interpreted, 0 re-entries";
       "-- cost model vs actuals --";
       "  estimated: MAX cost=134, PERST cost=113, constant periods=2";
       "  actual:    1 row(s); 1 routine call(s), 1 constant period(s)";
